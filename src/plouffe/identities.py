@@ -127,8 +127,7 @@ def zeta_4m1_residual(m, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
         pi = +mp.pi
         sixteen = mp.mpf(16) ** m
         lhs = _zeta_ref_raw(e, target + mag)
-        rhs = (-2 * sixteen * _s_raw(e, 1, target + mag)
-               + 2 * _s_raw(e, 4, target + mag)
+        rhs = (_s_raw(e, 1, target + mag, weights=((1, -2 * 16 ** m), (4, 2)))
                - sixteen * pi ** e * to_mpf(g_sum(2 * m))) / (sixteen - 1)
         residual = abs(lhs - rhs)
     return _report("zeta_4m1", {"m": m}, residual, digits, guard, slack)
@@ -169,7 +168,7 @@ def ts_identity_residual(n, rate, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLA
     with mp.workdps(target + 10):
         x = to_mpf(Fraction(rate) if isinstance(rate, (int, Fraction)) else rate)
         residual = abs(_s_raw(n, x, target, plus_one=True)
-                       - (_s_raw(n, x, target) - 2 * _s_raw(n, 2 * x, target)))
+                       - _s_raw(n, x, target, weights=((1, 1), (2, -2))))
     return _report("ts_identity", {"n": n, "rate": str(rate)}, residual, digits, guard, slack)
 
 
@@ -177,14 +176,10 @@ def triple_residual(target, exponent, digits, guard=DEFAULT_GUARD, slack=DEFAULT
     """Residual of a*S(1) + b*S(2) + c*S(4) against an independent oracle
     (pi**exponent, or the alternating-eta zeta value)."""
     triple = triple_for(target, exponent)
-    coeff_mag = max(1, math.ceil(math.log10(float(abs(triple.a) + abs(triple.b) + abs(triple.c)))))
-    mag = coeff_mag + math.ceil(exponent * math.log10(math.pi)) + 5
+    mag = math.ceil(exponent * math.log10(math.pi)) + 5
     target_digits = digits + guard + 10
     with mp.workdps(target_digits + mag + 10):
-        combo = mp.fsum(
-            to_mpf(coeff) * _s_raw(exponent, rate, target_digits + mag)
-            for coeff, rate in ((triple.a, 1), (triple.b, 2), (triple.c, 4))
-        )
+        combo = _s_raw(exponent, 1, target_digits, weights=zip((1, 2, 4), triple.coefficients()))
         if triple.target is Target.PI_POWER:
             oracle = (+mp.pi) ** exponent
         else:

@@ -8,10 +8,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import mpmath as mp
 import pytest
 
 from plouffe.cli import main
-from plouffe.precision import pi_const
+from plouffe.precision import decimal_string, pi_const
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema"
                      / "output_record.schema.json").read_text())
@@ -77,6 +78,23 @@ def test_eval_zeta3_with_check(capsys):
     assert value_line.startswith("1.2020569031595942853997381615")
     agreed = int(check_line.rsplit(">=", 1)[1].split()[0])
     assert agreed >= 45
+
+
+DIGIT_PIN_GRID = ([("pi", n, 500) for n in range(1, 14, 2)]
+                  + [("zeta", n, 200) for n in range(3, 14, 2)]
+                  + [("pi", 1, 4000)]
+                  # the triple's weight sum |a|+|b|+|c| is past the float range here
+                  + [("pi", 621, 20)])
+
+
+@pytest.mark.parametrize("target, exponent, digits", DIGIT_PIN_GRID)
+def test_eval_digits_pinned_to_mpmath(capsys, target, exponent, digits):
+    # the printed digits must match mpmath's own constants rounded once
+    code, out, _ = run_cli(capsys, "eval", target, str(exponent), "--digits", str(digits))
+    assert code == 0
+    with mp.workdps(digits + 40):
+        value = mp.pi ** exponent if target == "pi" else mp.zeta(exponent)
+        assert out == decimal_string(value, digits) + "\n"
 
 
 def test_eval_even_exponent_is_usage_error(capsys):

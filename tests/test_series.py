@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plouffe.bernoulli import Target, triple_for
 from plouffe.precision import agreement_digits, pi_const, to_mpf
@@ -103,15 +105,67 @@ def test_truncation_five_extra_terms_are_below_guard():
             assert abs(more - base) < mp.mpf(10) ** -(d + 10)
 
 
+def partial_sum(n, rate, terms, digits, plus_one=False, weights=((1, 1),)):
+    """The first `terms` q-series terms of _s_raw, rounded far below 10**-digits."""
+    weight = math.ceil(sum(abs(Fraction(w)) for _, w in weights))  # as _s_raw rounds it
+    default_terms = truncation_index(n, rate, digits + 1, weight)
+    return _s_raw(n, rate, digits, plus_one, terms - default_terms, weights)
+
+
+PI5_WEIGHTS = tuple(zip((1, 2, 4), triple_for(Target.PI_POWER, 5).coefficients()))
+
+
+TAIL_CASES = (  # n, rate, digits, plus_one (T), weights
+    (1, 1, 60, False, ((1, 1),)),
+    (3, 2, 80, False, ((1, 1),)),
+    (1, 1, 60, True, ((1, 1),)),
+    (5, 2, 80, True, ((1, 1),)),
+    (3, Fraction(1, 2), 60, False, ((1, 1),)),
+    (3, Fraction(1, 2), 60, True, ((1, 1),)),
+    (7, 2 * 1.3 / math.pi, 70, False, ((1, 1),)),
+    (7, 2 * 1.3 / math.pi, 70, True, ((1, 1),)),
+    (5, 1, 100, False, PI5_WEIGHTS),
+)
+
+
 def test_truncation_index_tail_bound_holds():
-    # the proven bound must cover the actual tail: compare K against K + 200
-    for n, rate, d in ((1, 1, 60), (3, 2, 80)):
-        k = truncation_index(n, rate, d)
+    # the proven bound must cover the actual tail: compare N against N + 200
+    for n, rate, d, plus_one, weights in TAIL_CASES:
+        weight = float(sum(abs(Fraction(w)) for _, w in weights))
+        terms = truncation_index(n, rate, d, weight)
         with mp.workdps(d + 60):
-            short = _s_raw(n, rate, d)
-            long = _s_raw(n, rate, d, extra_terms=200)
-            assert abs(long - short) < mp.mpf(10) ** -d
-        assert k == truncation_index(n, rate, d)
+            short = partial_sum(n, rate, terms, d + 40, plus_one, weights)
+            long = partial_sum(n, rate, terms + 200, d + 40, plus_one, weights)
+            assert abs(long - short) < mp.mpf(10) ** -d, (n, rate, plus_one)
+        assert terms == truncation_index(n, rate, d, weight)
+
+
+def test_weighted_sum_matches_separate_series():
+    d = 100
+    value = _s_raw(5, 1, d, weights=PI5_WEIGHTS)
+    with mp.workdps(d + 30):
+        parts = mp.fsum(to_mpf(w) * _s_raw(5, s, d + 10) for s, w in PI5_WEIGHTS)
+        assert abs(value - parts) < mp.mpf(10) ** -d
+
+
+def brute_force_reference(n, r, digits, plus_one):
+    """Brute-force S_n(r) or T_n(r) with its tail below 10**-(digits + 5)."""
+    terms = math.ceil((digits + 10) * math.log(10) / (math.pi * float(r))) + 5
+    return brute_force_series(n, r, terms, digits + 30, plus_one)
+
+
+RATES = st.one_of(st.sampled_from([Fraction(1, 2), 1, 2, 4]),
+                  st.floats(min_value=0.5, max_value=5).map(mp.mpf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 41), rate=RATES, digits=st.integers(1, 300), plus_one=st.booleans())
+def test_s_raw_matches_brute_force(n, rate, digits, plus_one):
+    with mp.workdps(digits + 30):
+        r = to_mpf(rate)
+        value = _s_raw(n, r, digits, plus_one=plus_one)
+        reference = brute_force_reference(n, r, digits, plus_one)
+        assert abs(value - reference) < mp.mpf(10) ** -digits
 
 
 def test_monotone_in_exponent_and_rate():
