@@ -8,12 +8,21 @@ enters a coefficient.  The three-series representation writes the target as
 
 with S_n(r) = sum_{k>=1} 1/(k^n (e^(pi r k) - 1)) and exact rationals
 (a, b, c) produced by :func:`triple_for`.
+
+Bernoulli numbers come from the tangent numbers T_k (tan x = sum T_k
+x^(2k-1)/(2k-1)!), computed in place on Python integers by the algorithm
+of Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
+numbers" (arXiv:1108.0286), so no gcd is taken until each B_2k is formed.
+The memo holds a dense prefix B_0..B_N and grows geometrically, so rising
+requests rebuild it only O(log N) times.  The coefficient sums F, G and H
+are each computed once per process.
 """
 
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 
@@ -23,30 +32,53 @@ class Target(Enum):
 
 
 # B_0 = 1 is forced by the generating function x/(e^x - 1) and by every
-# derived coefficient below.
+# derived coefficient below.  Writers rebind _memo to a longer list with the
+# same prefix under _memo_lock, so a reader holding the old list stays right.
 _memo = [Fraction(1), Fraction(-1, 2)]
 _memo_lock = threading.Lock()
 
 
+def _bernoulli_prefix(n):
+    """B_0..B_n as a new list, from the tangent numbers T_1..T_(n//2)."""
+    half = n // 2
+    # Brent & Harvey, Algorithm TangentNumbers: start from T_j = (j-1)!, then
+    # for k = 2..half sweep T_j <- (j-k) T_(j-1) + (j-k+2) T_j for j = k..half,
+    # in place (T_(j-1) is the value just updated); t[j-1] holds T_j.
+    t = [1] * half
+    for j in range(1, half):
+        t[j] = j * t[j - 1]
+    for k in range(2, half + 1):
+        previous = 0
+        for d, i in enumerate(range(k - 1, half)):  # d = j - k, i = j - 1
+            previous = t[i] = d * previous + (d + 2) * t[i]
+    values = [Fraction(1), Fraction(-1, 2)]
+    zero = Fraction(0)
+    power = 1  # 4^k
+    for k, tk in enumerate(t, start=1):
+        power *= 4
+        # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+        numerator = 2 * k * tk
+        values += [Fraction(numerator if k % 2 else -numerator, power * (power - 1)), zero]
+    del values[n + 1:]
+    return values
+
+
 def bernoulli(k):
-    """Exact k-th Bernoulli number (B_0 = 1, B_1 = -1/2), memoized."""
+    """Exact k-th Bernoulli number (B_0 = 1, B_1 = -1/2), memoized.
+
+    A miss rebuilds the prefix B_0..B_N with N = max(k, 2 * memo length)
+    from tangent numbers (Brent & Harvey), so the memo can hold more
+    entries than the highest index asked for.
+    """
+    global _memo
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if k < len(_memo):
-        return _memo[k]
+    memo = _memo
+    if k < len(memo):
+        return memo[k]
     with _memo_lock:
-        while len(_memo) <= k:
-            n = len(_memo)
-            if n % 2 == 1:
-                _memo.append(Fraction(0))
-                continue
-            # sum_{j=0}^{n} C(n+1, j) B_j = 0, solved for B_n
-            acc = Fraction(0)
-            for j in range(n):
-                bj = _memo[j]
-                if bj:
-                    acc += comb(n + 1, j) * bj
-            _memo.append(-acc / (n + 1))
+        if len(_memo) <= k:
+            _memo = _bernoulli_prefix(max(k, 2 * len(_memo)))
         return _memo[k]
 
 
@@ -62,6 +94,7 @@ def memo_preload(values):
     Entries failing cheap sanity checks are rejected wholesale; the numbers
     are then simply recomputed on demand.  Returns True when accepted.
     """
+    global _memo
     values = [Fraction(v) for v in values]
     if len(values) < 2 or values[0] != 1 or values[1] != Fraction(-1, 2):
         return False
@@ -73,41 +106,47 @@ def memo_preload(values):
             return False
     with _memo_lock:
         if len(values) > len(_memo):
-            _memo[:] = values
+            _memo = values
     return True
 
 
+# Each sum below is taken over binomial weights C(top, i) = top! / (i! (top-i)!)
+# and divided by top! once, which keeps the factorials out of every partial sum.
+
+@cache
 def f_sum(n):
     """F_n, the alternating double-Bernoulli sum over index pairs (2k, 2n+2-2k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    top = 2 * n + 2
     return sum(
-        (-1) ** k * bernoulli(2 * k) * bernoulli(2 * n + 2 - 2 * k)
-        / (factorial(2 * k) * factorial(2 * n + 2 - 2 * k))
+        (-1) ** k * comb(top, 2 * k) * bernoulli(2 * k) * bernoulli(top - 2 * k)
         for k in range(n + 2)
-    )
+    ) / factorial(top)
 
 
+@cache
 def g_sum(n):
     """G_n, the (-4)^k-weighted double-Bernoulli sum."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    top = 2 * n + 2
     return sum(
-        Fraction(-4) ** k * bernoulli(2 * k) * bernoulli(2 * n + 2 - 2 * k)
-        / (factorial(2 * k) * factorial(2 * n + 2 - 2 * k))
+        (-4) ** k * comb(top, 2 * k) * bernoulli(2 * k) * bernoulli(top - 2 * k)
         for k in range(n + 2)
-    )
+    ) / factorial(top)
 
 
+@cache
 def h_sum(m):
     """H_m, the (-4)^(m+k)-weighted sum over index pairs (4k, 4m+2-4k)."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    top = 4 * m + 2
     return sum(
-        Fraction(-4) ** (m + k) * bernoulli(4 * k) * bernoulli(4 * m + 2 - 4 * k)
-        / (factorial(4 * k) * factorial(4 * m + 2 - 4 * k))
+        (-4) ** (m + k) * comb(top, 4 * k) * bernoulli(4 * k) * bernoulli(top - 4 * k)
         for k in range(m + 1)
-    )
+    ) / factorial(top)
 
 
 def d_coeff(m):

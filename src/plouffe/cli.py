@@ -14,6 +14,7 @@ numbers are recomputed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -247,6 +248,7 @@ def _save_cache(path, entries_in_file):
     snapshot = memo_snapshot()
     if len(snapshot) <= entries_in_file:
         return
+    temp_path = None
     try:
         directory = os.path.dirname(os.path.abspath(path))
         fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".plouffe-cache-")
@@ -254,8 +256,13 @@ def _save_cache(path, entries_in_file):
             for index, value in enumerate(snapshot):
                 handle.write(f"{index} {value.numerator}/{value.denominator}\n")
         os.replace(temp_path, path)
-    except OSError as exc:
+        temp_path = None
+    except (OSError, ValueError) as exc:
         print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
+    finally:
+        if temp_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp_path)
 
 
 def build_parser():
@@ -326,6 +333,20 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
+    # Exact numerators outgrow Python's default 4300-digit int<->str limit
+    # (B_k from k = 2064 on); lift it for this command only, so in-process
+    # callers keep their own setting.  Python < 3.10.7 has no such limit.
+    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if saved_limit is not None:
+            sys.set_int_max_str_digits(saved_limit)
+
+
+def _run(args):
     args._t0 = time.monotonic()
     cache_path = args.cache or os.environ.get("PLOUFFE_CACHE")
     loaded = _load_cache(cache_path)

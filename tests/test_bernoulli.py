@@ -1,17 +1,23 @@
 """Exact-value tests for Bernoulli numbers and the coefficient families.
 
-The oracle for individual Bernoulli numbers is an independently written
-recurrence (no memo, different code path); the double-sum coefficients are
-checked against hand-derived small cases and against the seven classical
-triples.
+The oracles for individual Bernoulli numbers are an independently written
+recurrence (no memo, different code path) and ``mpmath.bernfrac``; the
+double-sum coefficients are checked against their factorial-form
+definitions, hand-derived small cases and the seven classical triples.
 """
 
+import importlib
 import math
+import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plouffe.bernoulli import (
     Target,
@@ -51,6 +57,18 @@ def bernoulli_oracle(k):
     return values[k]
 
 
+bernoulli_module = importlib.import_module("plouffe.bernoulli")
+
+
+def fresh_memo(monkeypatch):
+    """Give the module the memo it starts with; the old one returns after the test."""
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+
+
+def bernfrac(k):
+    return Fraction(*(int(x) for x in mp.bernfrac(k)))
+
+
 def test_bernoulli_small_values():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)
@@ -67,6 +85,71 @@ def test_bernoulli_12_against_oracle():
 def test_bernoulli_recurrence_to_200():
     for n in range(1, 201):
         assert sum(math.comb(n + 1, j) * bernoulli(j) for j in range(n + 1)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 1000))
+def test_bernoulli_matches_mpmath_bernfrac(k):
+    assert bernoulli(k) == bernfrac(k)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_bernoulli_first_values_from_fresh_memo(monkeypatch, k):
+    fresh_memo(monkeypatch)
+    first = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0)]
+    assert bernoulli(k) == first[k]
+    assert memo_snapshot()[:k + 1] == first[:k + 1]
+
+
+def test_bernoulli_extends_a_preloaded_prefix(monkeypatch):
+    fresh_memo(monkeypatch)
+    prefix = [bernoulli_oracle(k) for k in range(21)]
+    assert memo_preload(prefix)
+    assert bernoulli(301) == 0
+    snapshot = memo_snapshot()
+    assert snapshot[:21] == prefix
+    assert snapshot[300] == bernfrac(300)
+
+
+def test_rising_requests_build_the_prefix_log_times(monkeypatch):
+    fresh_memo(monkeypatch)
+    builds = []
+    build = bernoulli_module._bernoulli_prefix
+    monkeypatch.setattr(bernoulli_module, "_bernoulli_prefix",
+                        lambda n: builds.append(n) or build(n))
+    top = 600
+    for k in range(top + 1):
+        bernoulli(k)
+    assert len(builds) <= math.ceil(math.log2(top))
+    assert all(later >= 2 * earlier for earlier, later in zip(builds, builds[1:]))
+    assert bernoulli(top) == bernfrac(top)
+
+
+def test_threads_share_the_memo_safely(monkeypatch):
+    fresh_memo(monkeypatch)
+    expected = [bernfrac(k) for k in range(401)]
+    wrong = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            k = rng.randrange(len(expected))
+            if bernoulli(k) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert memo_snapshot()[:len(expected)] == expected
 
 
 def test_bernoulli_odd_vanish_and_sign_pattern():
@@ -117,6 +200,22 @@ def test_h_sum_2_against_brute_force():
         expected += (weight * bernoulli_oracle(4 * k) * bernoulli_oracle(10 - 4 * k)
                      / (math.factorial(4 * k) * math.factorial(10 - 4 * k)))
     assert h_sum(2) == expected
+
+
+def test_sums_match_their_factorial_form():
+    b = [bernoulli_oracle(k) for k in range(24)]
+
+    def pair_sum(weight, top, indices):
+        return sum(weight(i) * b[i] * b[top - i] / (math.factorial(i) * math.factorial(top - i))
+                   for i in indices)
+
+    for n in range(11):
+        top = 2 * n + 2
+        assert f_sum(n) == pair_sum(lambda i: (-1) ** (i // 2), top, range(0, top + 1, 2))
+        assert g_sum(n) == pair_sum(lambda i: Fraction(-4) ** (i // 2), top, range(0, top + 1, 2))
+    for m in range(6):
+        top = 4 * m + 2
+        assert h_sum(m) == pair_sum(lambda i: Fraction(-4) ** (m + i // 4), top, range(0, top, 4))
 
 
 def test_d_coeff_values():

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import mpmath as mp
 import pytest
 
+from plouffe.bernoulli import triple_for
 from plouffe.cli import main
 from plouffe.precision import decimal_string, pi_const
 
@@ -217,6 +219,51 @@ def test_corrupt_cache_is_ignored(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))
     assert code == 0
     assert out.strip() == "-1/30"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int<->str digit limit")
+def test_exact_output_past_the_int_str_limit(tmp_path, capsys):
+    # the lowest limit Python accepts; B_600 and the pi^501 triple exceed it
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    cache = tmp_path / "big.cache"
+    try:
+        bernoulli_run = run_cli(capsys, "bernoulli", "600", "--cache", str(cache))
+        coeffs_run = run_cli(capsys, "coeffs", "pi", "501")
+        assert sys.get_int_max_str_digits() == 640  # restored for the caller
+    finally:
+        sys.set_int_max_str_digits(previous)
+    code, out, err = bernoulli_run
+    assert (code, err) == (0, "")
+    assert Fraction(out.strip()) == Fraction(*(int(x) for x in mp.bernfrac(600)))
+    assert cache.read_text().splitlines()[600] == f"600 {out.strip()}"
+    assert [p.name for p in tmp_path.iterdir()] == ["big.cache"]
+    code, out, err = coeffs_run
+    assert (code, err) == (0, "")
+    assert [Fraction(q) for q in out.split()] == list(triple_for("pi", 501).coefficients())
+
+
+def failing_replace(*args):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["bernoulli", "30"], 0),
+    (["coeffs", "pi", "4"], 2),
+])
+@pytest.mark.parametrize("failure", ["os.replace raises", "path holds a NUL byte"])
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch,
+                                                argv, expected_code, failure):
+    cache = tmp_path / "bernoulli.cache"
+    if failure == "os.replace raises":
+        monkeypatch.setattr(os, "replace", failing_replace)
+    else:
+        cache = tmp_path / "bern\0oulli.cache"  # os.replace raises ValueError
+    code, _, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == expected_code
+    assert "warning: could not write cache" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timing_flag_keeps_stdout_clean(capsys):
