@@ -29,17 +29,11 @@ from .identities import (
 )
 from .precision import (
     DEFAULT_GUARD,
-    ExactRational,
     PrecisionReal,
     agreement_digits,
     decimal_string,
-    exp_real,
     format_rational,
-    log_gamma,
-    log_real,
     pi_const,
-    pow_int,
-    real,
 )
 from .relations import (
     RelationNotFoundError,
@@ -55,7 +49,6 @@ from .series import (
     eval_zeta_odd,
     s1_closed_form,
     s_series,
-    t_series,
     truncation_index,
     zeta_reference,
 )
@@ -65,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientTriple",
     "DEFAULT_GUARD",
-    "ExactRational",
     "PrecisionReal",
     "RelationNotFoundError",
     "RelationResult",
@@ -80,25 +72,19 @@ __all__ = [
     "e_coeff",
     "eval_pi_power",
     "eval_zeta_odd",
-    "exp_real",
     "f_sum",
     "format_rational",
     "g_sum",
     "h_sum",
     "k_coeff",
-    "log_gamma",
-    "log_real",
     "min_digits_for",
     "pi_const",
-    "pow_int",
     "pslq",
     "ramanujan_residual",
-    "real",
     "rediscover_triple",
     "s1_closed_form",
     "s_series",
     "symmetric_point_residual",
-    "t_series",
     "triple_for",
     "triple_residual",
     "truncation_index",

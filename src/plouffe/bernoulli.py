@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 
 class Target(Enum):
@@ -101,8 +101,14 @@ def memo_preload(values):
     for i in range(3, len(values), 2):
         if values[i] != 0:
             return False
+    # von Staudt-Clausen: the denominator of B_2k is the product of the primes p with (p-1) | 2k
+    denominators = [1] * len(values)
+    for p in range(2, len(values) + 1):
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            for i in range(p - 1, len(values), p - 1):
+                denominators[i] *= p
     for i in range(2, len(values), 2):
-        if (values[i] > 0) != (i % 4 == 2):
+        if (values[i] > 0) != (i % 4 == 2) or values[i].denominator != denominators[i]:
             return False
     with _memo_lock:
         if len(values) > len(_memo):

@@ -3,12 +3,19 @@ rest on: Ramanujan's alpha/beta transformation of zeta(2n+1), its two
 special-point reductions, the Vepstas expression for zeta(4m+1), and the
 T/S companion identity.
 
-Every zeta value on a right-hand side comes from the independent
-alternating-eta oracle, never from the three-series assembly, so a passing
-residual is evidence and not circularity.  A report passes when the
-absolute residual is below 10**-(digits - slack) with slack = 10 by
-default: ten digits of headroom absorb rounding drift across the ~10^3
-high-precision operations in the larger checks.
+Each identity is a form: (coefficient, term) pairs whose sum vanishes when
+the identity holds.  A term is ("S", n, rate, plus_one, weights) for the
+q-series sum_s w_s S_n(s rate) (T_n with plus_one), ("zeta", s) for the
+independent eta oracle, or ("pi", k) for pi**k.  A coefficient or a rate is
+an exact rational, or a pair (rho, j) for rho * pi**j, so that no number is
+rounded before :func:`_run` fixes the precision with the one rule in
+:func:`places`; it evaluates each distinct term once.
+
+Every zeta value comes from the independent alternating-eta oracle, never
+from the three-series assembly, so a passing residual is evidence and not
+circularity.  A report passes when the absolute residual is below
+10**-(digits - SLACK): ten digits of headroom absorb rounding drift across
+the ~10^3 high-precision operations in the larger checks.
 """
 
 import math
@@ -21,7 +28,7 @@ from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
 from .precision import DEFAULT_GUARD, PrecisionReal, to_mpf
 from .series import _s_raw, _zeta_ref_raw
 
-DEFAULT_SLACK = 10
+SLACK = 10
 
 
 @dataclass(frozen=True)
@@ -42,9 +49,66 @@ class ResidualReport:
         }
 
 
-def _report(identity, parameters, residual, digits, guard, slack):
-    passed = bool(residual < mp.mpf(10) ** (-(digits - slack)))
-    return ResidualReport(identity, parameters, PrecisionReal(abs(residual), digits, guard), digits, passed)
+def series_term(n, rate, plus_one=False, weights=((1, 1),)):
+    """The term sum_s w_s S_n(s rate), or T_n(rate) with plus_one."""
+    if isinstance(rate, tuple) and rate[1] == 0:
+        rate = rate[0]  # so that equal terms compare equal
+    return ("S", n, rate, plus_one, tuple(weights))
+
+
+def _mpf(x):
+    """A coefficient or rate at the ambient precision."""
+    rho, j = x if isinstance(x, tuple) else (x, 0)
+    return to_mpf(Fraction(rho)) * (+mp.pi) ** j
+
+
+def places(target, size=1):
+    """The precision rule: decimal places that keep a quantity of magnitude
+    up to |size|, or an error magnified by |size|, within 10**-target."""
+    return target + max(0, math.ceil(mp.mag(size) * math.log10(2)))  # mag bounds log2 |size|
+
+
+def term_values(terms, accuracy):
+    """{term: value} for each term, with absolute error below 10**-accuracy."""
+    values = {}
+    for term in terms:
+        kind, *args = term
+        with mp.workdps(places(accuracy, mp.pi ** args[0] if kind == "pi" else 1) + 10):
+            if kind == "S":
+                n, rate, plus_one, weights = args
+                values[term] = _s_raw(n, _mpf(rate), accuracy, plus_one, weights=weights)
+            elif kind == "zeta":
+                values[term] = _zeta_ref_raw(args[0], accuracy)
+            else:
+                values[term] = (+mp.pi) ** args[0]
+    return values
+
+
+def _run(checks, digits, guard):
+    """Reports for (identity, parameters, form) checks, whose residuals
+    |sum c v| have absolute error below 10**-(digits + guard): a form of N
+    pairs with coefficients up to C needs its terms to places(digits + guard,
+    N C).  Each distinct term is evaluated once, to the accuracy the most
+    demanding form needs.
+    """
+    forms = [form for _, _, form in checks]
+    accuracy = max(places(digits + guard, len(form) * max(abs(_mpf(c)) for c, _ in form))
+                   for form in forms)
+    values = term_values(dict.fromkeys(term for form in forms for _, term in form), accuracy)
+    threshold = mp.mpf(10) ** (SLACK - digits)
+    reports = []
+    for identity, parameters, form in checks:
+        with mp.workdps(places(accuracy, max(abs(_mpf(c) * values[t]) for c, t in form)) + 10):
+            residual = abs(mp.fsum(_mpf(c) * values[t] for c, t in form))
+        reports.append(ResidualReport(identity, parameters, PrecisionReal(residual, digits, guard),
+                                      digits, bool(residual < threshold)))
+    return reports
+
+
+def _exact(x):
+    """x as an exact Fraction (an mpf is a dyadic rational)."""
+    x = x.mpf if isinstance(x, PrecisionReal) else x
+    return Fraction(*mp.libmp.to_rational(x._mpf_)) if isinstance(x, mp.mpf) else Fraction(x)
 
 
 def _bernoulli_pair_term(n, k):
@@ -53,7 +117,28 @@ def _bernoulli_pair_term(n, k):
         / (math.factorial(2 * k) * math.factorial(2 * n + 2 - 2 * k))
 
 
-def ramanujan_residual(alpha, n, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
+def _ramanujan(alpha, n):
+    """The check at alpha = rho pi^j, given as (rho, j), or at an exact alpha."""
+    rho, j = alpha if isinstance(alpha, tuple) else (_exact(alpha), 0)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if rho <= 0:
+        raise ValueError("alpha must be positive")
+    e = 2 * n + 1
+    a = (rho ** -n, -j * n)  # alpha^-n
+    b = ((-1) ** n * rho ** n, (j - 2) * n)  # (-beta)^-n with beta = pi^2/alpha
+    form = [((a[0] / 2, a[1]), ("zeta", e)), ((-b[0] / 2, b[1]), ("zeta", e)),
+            (a, series_term(e, (2 * rho, j - 1))),
+            ((-b[0], b[1]), series_term(e, (2 / rho, 1 - j)))]
+    for k in range(n + 2):
+        coeff = _bernoulli_pair_term(n, k)
+        if coeff:  # 4^n (-1)^k [pair] alpha^(n+1-k) beta^k
+            form.append((4 ** n * (-1) ** k * coeff * rho ** (n + 1 - 2 * k),
+                         ("pi", j * (n + 1 - k) + (2 - j) * k)))
+    return "ramanujan", {"alpha": mp.nstr(mp.mpf(float(rho) * math.pi ** j), 10), "n": n}, form
+
+
+def ramanujan_residual(alpha, n, digits, guard=DEFAULT_GUARD):
     """Residual of the alpha/beta transformation with beta = pi^2/alpha:
 
         alpha^-n (zeta(2n+1)/2 + S_(2n+1)(2 alpha/pi))
@@ -61,37 +146,21 @@ def ramanujan_residual(alpha, n, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLAC
             - 4^n sum_k (-1)^k [B-pair term] alpha^(n+1-k) beta^k
 
     Holds for every alpha > 0 and n >= 1; checked numerically at the given
-    precision with zeta from the independent oracle.
+    precision, at alpha taken exactly, with zeta from the independent oracle.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    alpha_f = float(to_mpf(alpha) if not isinstance(alpha, PrecisionReal) else alpha.mpf)
-    if alpha_f <= 0:
-        raise ValueError("alpha must be positive")
-    beta_f = math.pi ** 2 / alpha_f
-    # alpha^(n+1-k) beta^k peaks at max(alpha, beta)^(n+1)
-    mag = max(0, math.ceil((n + 1) * math.log10(max(alpha_f, beta_f, 1.0)))) + 4 * n // 3 + 5
-    target = digits + guard + 10
-    with mp.workdps(target + mag + 10):
-        a = to_mpf(alpha)
-        pi = +mp.pi
-        b = pi ** 2 / a
-        z_half = _zeta_ref_raw(2 * n + 1, target + mag) / 2
-        s_a = _s_raw(2 * n + 1, 2 * a / pi, target + mag)
-        s_b = _s_raw(2 * n + 1, 2 * b / pi, target + mag)
-        pair_sum = mp.mpf(0)
-        for k in range(n + 2):
-            coeff = _bernoulli_pair_term(n, k)
-            if coeff:
-                pair_sum += (-1) ** k * to_mpf(coeff) * a ** (n + 1 - k) * b ** k
-        lhs = a ** (-n) * (z_half + s_a)
-        rhs = (-1) ** n * b ** (-n) * (z_half + s_b) - mp.mpf(4) ** n * pair_sum
-        residual = abs(lhs - rhs)
-    params = {"alpha": mp.nstr(mp.mpf(alpha_f), 10), "n": n}
-    return _report("ramanujan", params, residual, digits, guard, slack)
+    return _run([_ramanujan(alpha, n)], digits, guard)[0]
 
 
-def symmetric_point_residual(n, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
+def _symmetric_point(n):
+    if n < 1 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 1 (even n degenerates to 0 = 0)")
+    e = 2 * n + 1
+    return "symmetric_point", {"n": n}, [
+        (Fraction(1, 2), ("zeta", e)), (1, series_term(e, 2)),
+        (Fraction(4 ** n, 2) * f_sum(n), ("pi", e))]
+
+
+def symmetric_point_residual(n, digits, guard=DEFAULT_GUARD):
     """Residual of the odd-n reduction at the symmetric point alpha = beta = pi:
 
         zeta(2n+1)/2 + S_(2n+1)(2) = -(4^n/2) pi^(2n+1) F_n
@@ -99,41 +168,40 @@ def symmetric_point_residual(n, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK
     Even n is rejected: F_n = 0 makes both sides vanish identically, so a
     residual check there would pass vacuously.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 1 (even n degenerates to 0 = 0)")
-    mag = math.ceil((2 * n + 1) * math.log10(math.pi)) + math.ceil(n * math.log10(4)) + 5
-    target = digits + guard + 10
-    with mp.workdps(target + mag + 10):
-        pi = +mp.pi
-        lhs = _zeta_ref_raw(2 * n + 1, target + mag) / 2 + _s_raw(2 * n + 1, 2, target + mag)
-        rhs = -mp.mpf(4) ** n / 2 * pi ** (2 * n + 1) * to_mpf(f_sum(n))
-        residual = abs(lhs - rhs)
-    return _report("symmetric_point", {"n": n}, residual, digits, guard, slack)
+    return _run([_symmetric_point(n)], digits, guard)[0]
 
 
-def zeta_4m1_residual(m, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
+def _zeta_4m1(m):
+    if m < 1:
+        raise ValueError("m must be >= 1 (the denominator 16^m - 1 vanishes at m = 0)")
+    e, sixteen = 4 * m + 1, 16 ** m
+    return "zeta_4m1", {"m": m}, [
+        (1, ("zeta", e)),
+        (Fraction(-1, sixteen - 1), series_term(e, 1, weights=((1, -2 * sixteen), (4, 2)))),
+        (Fraction(sixteen, sixteen - 1) * g_sum(2 * m), ("pi", e))]
+
+
+def zeta_4m1_residual(m, digits, guard=DEFAULT_GUARD):
     """Residual of the zeta(4m+1) evaluation (alpha = 2 pi, beta = pi/2):
 
         zeta(4m+1) = (-2*16^m S(1) + 2 S(4) - 16^m pi^(4m+1) G_(2m)) / (16^m - 1)
 
     with S = S_(4m+1).  m = 0 is rejected (the denominator vanishes).
     """
+    return _run([_zeta_4m1(m)], digits, guard)[0]
+
+
+def _vepstas(m):
     if m < 1:
-        raise ValueError("m must be >= 1 (the denominator 16^m - 1 vanishes at m = 0)")
+        raise ValueError("m must be >= 1 (the identity is stated for m >= 1)")
     e = 4 * m + 1
-    mag = math.ceil(e * math.log10(math.pi)) + math.ceil(m * math.log10(16)) + 5
-    target = digits + guard + 10
-    with mp.workdps(target + mag + 10):
-        pi = +mp.pi
-        sixteen = mp.mpf(16) ** m
-        lhs = _zeta_ref_raw(e, target + mag)
-        rhs = (_s_raw(e, 1, target + mag, weights=((1, -2 * 16 ** m), (4, 2)))
-               - sixteen * pi ** e * to_mpf(g_sum(2 * m))) / (sixteen - 1)
-        residual = abs(lhs - rhs)
-    return _report("zeta_4m1", {"m": m}, residual, digits, guard, slack)
+    return "vepstas", {"m": m}, [
+        (1 + (-4) ** m - 2 ** e, ("zeta", e)), (-2, series_term(e, 2, plus_one=True)),
+        (-2 * (2 ** e - (-4) ** m), series_term(e, 2)),
+        (-(2 ** e * h_sum(m) + 2 ** (4 * m) * g_sum(2 * m)), ("pi", e))]
 
 
-def vepstas_residual(m, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
+def vepstas_residual(m, digits, guard=DEFAULT_GUARD):
     """Residual of the Vepstas expression for zeta(4m+1), m >= 1:
 
         (1 + (-4)^m - 2^(4m+1)) zeta(4m+1)
@@ -142,56 +210,41 @@ def vepstas_residual(m, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
 
     with S, T at exponent 4m+1 and T from the companion-series evaluator.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1 (the identity is stated for m >= 1)")
-    e = 4 * m + 1
-    mag = math.ceil(e * math.log10(math.pi)) + math.ceil((4 * m + 1) * math.log10(2)) + 5
-    target = digits + guard + 10
-    with mp.workdps(target + mag + 10):
-        pi = +mp.pi
-        lhs = (1 + (-4) ** m - 2 ** (4 * m + 1)) * _zeta_ref_raw(e, target + mag)
-        rhs = (2 * _s_raw(e, 2, target + mag, plus_one=True)
-               + 2 * (2 ** (4 * m + 1) - (-4) ** m) * _s_raw(e, 2, target + mag)
-               + mp.mpf(2) ** (4 * m + 1) * pi ** e * to_mpf(h_sum(m))
-               + mp.mpf(2) ** (4 * m) * pi ** e * to_mpf(g_sum(2 * m)))
-        residual = abs(lhs - rhs)
-    return _report("vepstas", {"m": m}, residual, digits, guard, slack)
+    return _run([_vepstas(m)], digits, guard)[0]
 
 
-def ts_identity_residual(n, rate, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
-    """Residual of T_n(x) = S_n(x) - 2 S_n(2x) at rate x."""
+def _ts_identity(n, rate):
     if n < 1:
         raise ValueError("n must be >= 1")
-    if float(rate) <= 0:
+    x = _exact(rate)
+    if x <= 0:
         raise ValueError("rate must be positive")
-    target = digits + guard + 10
-    with mp.workdps(target + 10):
-        x = to_mpf(Fraction(rate) if isinstance(rate, (int, Fraction)) else rate)
-        residual = abs(_s_raw(n, x, target, plus_one=True)
-                       - _s_raw(n, x, target, weights=((1, 1), (2, -2))))
-    return _report("ts_identity", {"n": n, "rate": str(rate)}, residual, digits, guard, slack)
+    return "ts_identity", {"n": n, "rate": str(rate)}, [
+        (1, series_term(n, x, plus_one=True)), (-1, series_term(n, x, weights=((1, 1), (2, -2))))]
 
 
-def triple_residual(target, exponent, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
+def ts_identity_residual(n, rate, digits, guard=DEFAULT_GUARD):
+    """Residual of T_n(x) = S_n(x) - 2 S_n(2x) at rate x."""
+    return _run([_ts_identity(n, rate)], digits, guard)[0]
+
+
+def _triple(target, exponent):
+    triple = triple_for(target, exponent)
+    oracle = ("pi" if triple.target is Target.PI_POWER else "zeta", exponent)
+    return "triple", {"target": triple.target.value, "exponent": exponent}, [
+        (1, series_term(exponent, 1, weights=zip((1, 2, 4), triple.coefficients()))), (-1, oracle)]
+
+
+def triple_residual(target, exponent, digits, guard=DEFAULT_GUARD):
     """Residual of a*S(1) + b*S(2) + c*S(4) against an independent oracle
     (pi**exponent, or the alternating-eta zeta value)."""
-    triple = triple_for(target, exponent)
-    mag = math.ceil(exponent * math.log10(math.pi)) + 5
-    target_digits = digits + guard + 10
-    with mp.workdps(target_digits + mag + 10):
-        combo = _s_raw(exponent, 1, target_digits, weights=zip((1, 2, 4), triple.coefficients()))
-        if triple.target is Target.PI_POWER:
-            oracle = (+mp.pi) ** exponent
-        else:
-            oracle = _zeta_ref_raw(exponent, target_digits + mag)
-        residual = abs(combo - oracle)
-    params = {"target": triple.target.value, "exponent": exponent}
-    return _report("triple", params, residual, digits, guard, slack)
+    return _run([_triple(target, exponent)], digits, guard)[0]
 
 
-def verify_all(max_m, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
+def verify_all(max_m, digits, guard=DEFAULT_GUARD):
     """Residual reports for every identity over its parameter range up to
-    max_m, plus the triple identities for all odd exponents <= 4*max_m + 1.
+    max_m, plus the triple identities for all odd exponents <= 4*max_m + 1,
+    evaluated together so that each distinct term is computed once.
 
     Expansion (17*max_m + 3 reports in total):
       - ramanujan: n = 1..2*max_m, alpha in {pi, pi/2, 2*pi}
@@ -202,24 +255,12 @@ def verify_all(max_m, digits, guard=DEFAULT_GUARD, slack=DEFAULT_SLACK):
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
-    reports = []
-    with mp.workdps(digits + guard + 10):
-        pi = +mp.pi
-        alphas = (pi, pi / 2, 2 * pi)
-    for n in range(1, 2 * max_m + 1):
-        for alpha in alphas:
-            reports.append(ramanujan_residual(alpha, n, digits, guard, slack))
-    for m in range(1, max_m + 1):
-        reports.append(symmetric_point_residual(2 * m - 1, digits, guard, slack))
-    for m in range(1, max_m + 1):
-        reports.append(zeta_4m1_residual(m, digits, guard, slack))
-    for m in range(1, max_m + 1):
-        reports.append(vepstas_residual(m, digits, guard, slack))
-    for exponent in range(1, 4 * max_m + 2, 2):
-        for rate in (1, 2):
-            reports.append(ts_identity_residual(exponent, rate, digits, guard, slack))
-    for exponent in range(1, 4 * max_m + 2, 2):
-        reports.append(triple_residual(Target.PI_POWER, exponent, digits, guard, slack))
-        if exponent >= 3:
-            reports.append(triple_residual(Target.ZETA_VALUE, exponent, digits, guard, slack))
-    return reports
+    ms, exponents = range(1, max_m + 1), range(1, 4 * max_m + 2, 2)
+    alphas = ((Fraction(1), 1), (Fraction(1, 2), 1), (Fraction(2), 1))  # pi, pi/2, 2 pi
+    checks = [_ramanujan(alpha, n) for n in range(1, 2 * max_m + 1) for alpha in alphas]
+    checks += [_symmetric_point(2 * m - 1) for m in ms]
+    checks += [_zeta_4m1(m) for m in ms] + [_vepstas(m) for m in ms]
+    checks += [_ts_identity(e, rate) for e in exponents for rate in (1, 2)]
+    checks += [_triple(target, e) for e in exponents for target in Target
+               if target is Target.PI_POWER or e >= 3]
+    return _run(checks, digits, guard)

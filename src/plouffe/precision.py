@@ -1,11 +1,9 @@
 """Arbitrary-precision primitives with explicit decimal-precision contracts.
 
 The external unit of precision is decimal digits: a value carrying
-``digits = D`` is accurate to an absolute error below ``10**-D``.  Every
-operation works internally at ``digits + guard`` decimal places (plus a
-magnitude allowance where the result can be large), so the published
-contract is stated at the requested precision and the guard absorbs
-rounding noise.
+``digits = D`` is accurate to an absolute error below ``10**-D``, and is
+computed at ``digits + guard`` decimal places, so the published contract is
+stated at the requested precision and the guard absorbs rounding noise.
 
 Exact rational arithmetic is :class:`fractions.Fraction`, which already
 guarantees a reduced numerator/denominator pair with a positive
@@ -14,7 +12,6 @@ once constructed; note that mpmath's precision context is process-global,
 so concurrent evaluation should use separate processes.
 """
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -22,12 +19,6 @@ from fractions import Fraction
 import mpmath as mp
 
 DEFAULT_GUARD = 20
-
-ExactRational = Fraction
-
-# exp_real refuses arguments whose result would need an absurd number of
-# digits to satisfy an *absolute* error contract
-_EXP_ARG_LIMIT = 1e8
 
 
 def to_mpf(value):
@@ -66,21 +57,6 @@ class PrecisionReal:
         return f"PrecisionReal({decimal_string(self.mpf, shown)}, digits={self.digits})"
 
 
-def real(value, digits, guard=DEFAULT_GUARD):
-    """Wrap a number as a PrecisionReal captured at digits + guard places."""
-    with mp.workdps(digits + guard):
-        return PrecisionReal(to_mpf(value), digits, guard)
-
-
-def _resolve(x, digits, guard):
-    """(mpf-able value, digits, guard) for an op argument."""
-    if isinstance(x, PrecisionReal):
-        return x.mpf, digits if digits is not None else x.digits, guard if guard is not None else x.guard
-    if digits is None:
-        raise ValueError("digits is required when the argument is not a PrecisionReal")
-    return x, digits, guard if guard is not None else DEFAULT_GUARD
-
-
 def pi_const(digits, guard=DEFAULT_GUARD):
     """pi with absolute error below 10**-digits.
 
@@ -91,55 +67,6 @@ def pi_const(digits, guard=DEFAULT_GUARD):
         raise ValueError("digits must be >= 1")
     with mp.workdps(digits + guard):
         return PrecisionReal(+mp.pi, digits, guard)
-
-
-def exp_real(x, digits=None, guard=None):
-    """e**x to the precision contract (absolute error below 10**-digits)."""
-    x, digits, guard = _resolve(x, digits, guard)
-    xf = float(x)
-    if xf > _EXP_ARG_LIMIT:
-        raise OverflowError(f"exp_real argument {xf:.3g} exceeds the supported range")
-    # a positive argument inflates the result by ~0.4343*x decimal digits
-    allowance = max(0, math.ceil(xf * 0.43430)) if xf > 0 else 0
-    with mp.workdps(digits + guard + allowance):
-        return PrecisionReal(mp.exp(to_mpf(x)), digits, guard)
-
-
-def log_real(x, digits=None, guard=None):
-    """Natural logarithm to the precision contract; requires x > 0."""
-    x, digits, guard = _resolve(x, digits, guard)
-    with mp.workdps(digits + guard):
-        xm = to_mpf(x)
-        if xm <= 0:
-            raise ValueError("log_real requires a positive argument")
-        return PrecisionReal(mp.log(xm), digits, guard)
-
-
-def log_gamma(x, digits=None, guard=None):
-    """log Gamma(x) for real x > 0, to the precision contract."""
-    x, digits, guard = _resolve(x, digits, guard)
-    xf = float(x)
-    if xf <= 0:
-        raise ValueError("log_gamma requires a positive argument")
-    # lgamma grows like x log x; cover the integer part of the result
-    try:
-        mag = abs(math.lgamma(xf))
-    except (OverflowError, ValueError):
-        mag = abs(xf) * max(1.0, math.log(abs(xf)))
-    allowance = max(0, math.ceil(math.log10(max(1.0, mag))))
-    with mp.workdps(digits + guard + allowance):
-        xm = to_mpf(x)
-        if xm <= 0:
-            raise ValueError("log_gamma requires a positive argument")
-        return PrecisionReal(mp.loggamma(xm), digits, guard)
-
-
-def pow_int(base, e):
-    """Exact rational power of a rational (or integer) base."""
-    b = Fraction(base)
-    if b == 0 and e < 0:
-        raise ZeroDivisionError("0 cannot be raised to a negative power")
-    return b ** e
 
 
 def decimal_string(x, sig_digits):

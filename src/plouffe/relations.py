@@ -17,8 +17,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, CoefficientTriple, triple_for
+from .identities import places, series_term, term_values
 from .precision import DEFAULT_GUARD, PrecisionReal, to_mpf
-from .series import _s_raw, _zeta_ref_raw
 
 
 class RelationNotFoundError(RuntimeError):
@@ -32,15 +32,6 @@ class RelationResult:
     iterations: int
     found: bool
     norm_bound: float
-
-    def to_json_dict(self):
-        return {
-            "vector": list(self.vector),
-            "residual": mp.nstr(self.residual.mpf, 5),
-            "iterations": self.iterations,
-            "found": self.found,
-            "norm_bound": self.norm_bound,
-        }
 
 
 def _canonical(vector):
@@ -186,13 +177,11 @@ def rediscover_triple(target, exponent, digits, guard=DEFAULT_GUARD,
     target = Target(target)
     expected = triple_for(target, exponent)  # validates target/exponent
 
-    mag = math.ceil(exponent * math.log10(math.pi)) + 2 if target is Target.PI_POWER else 1
-    with mp.workdps(digits + guard + mag + 5):
-        if target is Target.PI_POWER:
-            lead = (+mp.pi) ** exponent
-        else:
-            lead = _zeta_ref_raw(exponent, digits + guard + mag)
-        values = [lead] + [_s_raw(exponent, r, digits + guard + mag) for r in (1, 2, 4)]
+    lead = ("pi" if target is Target.PI_POWER else "zeta", exponent)
+    terms = [lead] + [series_term(exponent, r) for r in (1, 2, 4)]
+    # a relation with coefficients up to the bound must vanish to digits + guard places
+    accuracy = places(digits + guard, len(terms) * max_coeff_bound)
+    values = list(term_values(terms, accuracy).values())
 
     result = pslq(values, digits, max_coeff_bound, max_iterations, guard)
     if not result.found:

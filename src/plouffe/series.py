@@ -112,12 +112,6 @@ def s_series(spec):
     return PrecisionReal(value, spec.digits, spec.guard)
 
 
-def t_series(spec):
-    """T_n(r), the e^(pi r k) + 1 companion series, to the precision contract."""
-    value = _s_raw(spec.n, spec.r, spec.digits + spec.guard, plus_one=True)
-    return PrecisionReal(value, spec.digits, spec.guard)
-
-
 def _assemble(triple, digits, guard):
     """a*S(1) + b*S(2) + c*S(4) at absolute error below 10**-(digits + guard),
     summed as one weighted q-series."""

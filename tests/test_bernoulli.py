@@ -316,3 +316,5 @@ def test_memo_snapshot_and_preload():
     assert memo_preload(snapshot)
     assert not memo_preload([Fraction(0), Fraction(-1, 2)])   # wrong B_0
     assert not memo_preload([Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(1)])
+    # von Staudt-Clausen: denom(B_4) = 2 * 3 * 5, so a wrong denominator rejects the prefix
+    assert not memo_preload(snapshot[:4] + [Fraction(-1, 31)])

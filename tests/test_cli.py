@@ -1,6 +1,7 @@
 """Integration tests for the command-line interface: formats, exit codes,
 cache persistence, schema conformance, and byte-level determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from plouffe.bernoulli import triple_for
 from plouffe.cli import main
 from plouffe.precision import decimal_string, pi_const
 
+bernoulli_module = importlib.import_module("plouffe.bernoulli")  # the package rebinds the name
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema"
                      / "output_record.schema.json").read_text())
 
@@ -219,6 +221,20 @@ def test_corrupt_cache_is_ignored(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))
     assert code == 0
     assert out.strip() == "-1/30"
+
+
+def test_cache_with_a_wrong_value_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch):
+    # a well-formed file whose B_4 has the wrong denominator must not be served
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    cache = tmp_path / "wrong.cache"
+    cache.write_text("0 1\n1 -1/2\n2 1/6\n3 0\n4 -1/31\n")
+    code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))
+    assert (code, out) == (0, "-1/30\n")
+    rows = [line.split() for line in cache.read_text().splitlines()]
+    assert [int(index) for index, _ in rows] == list(range(len(rows)))
+    assert len(rows) > 4
+    assert all(Fraction(value) == Fraction(*(int(x) for x in mp.bernfrac(int(index))))
+               for index, value in rows)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

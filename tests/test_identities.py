@@ -3,10 +3,12 @@ its two special-point reductions, the Vepstas expression, the T/S
 companion identity, and the batch driver."""
 
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import plouffe.identities as identities
 from plouffe.identities import (
     ramanujan_residual,
     symmetric_point_residual,
@@ -139,3 +141,39 @@ def test_report_serialization_shape():
     assert set(payload) == {"identity", "parameters", "residual", "digits", "pass"}
     assert payload["pass"] is True
     assert payload["digits"] == 60
+
+
+def test_verify_all_computes_each_zeta_value_once(monkeypatch):
+    calls = []
+
+    def counting(s, target_digits):
+        calls.append(s)
+        return zeta_oracle(s, target_digits)
+
+    zeta_oracle = identities._zeta_ref_raw
+    monkeypatch.setattr(identities, "_zeta_ref_raw", counting)
+    reports = identities.verify_all(3, 60)
+    assert all(r.passed for r in reports)
+    assert sorted(calls) == [3, 5, 7, 9, 11, 13]
+
+
+def perturbed(coefficient):
+    """The coefficient changed by a relative 10**-20."""
+    rho, j = coefficient if isinstance(coefficient, tuple) else (coefficient, 0)
+    return (Fraction(rho) * (1 + Fraction(1, 10 ** 20)), j)
+
+
+def test_every_coefficient_of_every_identity_matters():
+    # guards against a form that holds whatever its coefficients are: a
+    # check that passes unchanged must fail once any one coefficient moves
+    checks = [identities._ramanujan((Fraction(1), 1), 2), identities._ramanujan(1.3, 3),
+              identities._ramanujan((Fraction(2), 1), 1), identities._symmetric_point(3),
+              identities._zeta_4m1(2), identities._vepstas(2), identities._ts_identity(5, 2),
+              identities._triple("pi", 7), identities._triple("zeta", 5)]
+    assert {identity for identity, _, _ in checks} == {
+        "ramanujan", "symmetric_point", "zeta_4m1", "vepstas", "ts_identity", "triple"}
+    variants = [(identity, params, form[:i] + [(perturbed(c), term)] + form[i + 1:])
+                for identity, params, form in checks for i, (c, term) in enumerate(form)]
+    assert all(r.passed for r in identities._run(checks, 60, 20))
+    passed = [r.passed for r in identities._run(variants, 60, 20)]
+    assert len(passed) == len(variants) and not any(passed)

@@ -1,9 +1,8 @@
 """Contract tests for the arbitrary-precision primitives.
 
-The cross-validation oracles here are deliberately independent of the
+The cross-validation oracle here is deliberately independent of the
 implementation backend: pi comes from an integer-arithmetic Machin-type
-arctangent sum, e from an exact Fraction Taylor sum with an explicit tail
-bound, and log-gamma is checked through the reflection formula.
+arctangent sum.
 """
 
 import math
@@ -13,19 +12,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from plouffe.precision import (
-    PrecisionReal,
-    agreement_digits,
-    decimal_string,
-    exp_real,
-    format_rational,
-    log_gamma,
-    log_real,
-    pi_const,
-    pow_int,
-    real,
-    to_mpf,
-)
+from plouffe.precision import PrecisionReal, decimal_string, format_rational, pi_const
 
 PI_20 = "3.1415926535897932385"
 
@@ -48,19 +35,6 @@ def machin_pi_digits(count):
 
     digits = str(16 * arctan_inv(5) - 4 * arctan_inv(239))
     return digits[0] + "." + digits[1:count]
-
-
-def taylor_e(digits):
-    """(sum of 1/k! as an exact Fraction, tail bound): oracle for e."""
-    total = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    floor = Fraction(1, 10 ** (digits + 5))
-    while term > floor:
-        total += term
-        k += 1
-        term /= k
-    return total, 2 * term  # remaining terms are dominated by a ratio-1/2 series
 
 
 def test_pi_20_digit_string():
@@ -89,87 +63,6 @@ def test_pi_cross_validated_against_machin_oracle():
     assert value.to_decimal_string()[:998] == oracle[:998]
 
 
-def test_exp_identity_and_roundtrips():
-    assert exp_real(real(0, 40)).mpf == 1
-    two = exp_real(log_real(real(2, 60)))
-    assert agreement_digits(two, real(2, 80)) >= 58
-    e2 = exp_real(real(2, 60))
-    assert agreement_digits(log_real(e2), real(2, 80)) >= 58
-
-
-def test_exp_against_taylor_oracle():
-    value = exp_real(real(1, 50))
-    oracle, tail = taylor_e(60)
-    with mp.workdps(80):
-        approx = mp.mpf(oracle.numerator) / oracle.denominator
-        assert abs(value.mpf - approx) < mp.mpf(10) ** -48 + mp.mpf(float(tail))
-
-
-def test_exp_log_roundtrip_over_wide_range():
-    rng = random.Random(140)
-    for _ in range(20):
-        scale = rng.uniform(-10, 10)
-        x = real(mp.mpf(rng.uniform(1, 10)) * mp.mpf(10) ** round(scale), 50)
-        back = exp_real(log_real(x))
-        with mp.workdps(90):
-            assert abs(back.mpf - x.mpf) < mp.mpf(10) ** -48
-
-
-def test_exp_overflow_guard():
-    with pytest.raises(OverflowError):
-        exp_real(real(10, 20).mpf * 10 ** 30, digits=20)
-
-
-def test_log_domain():
-    assert log_real(real(1, 40)).mpf == 0
-    with pytest.raises(ValueError):
-        log_real(real(1, 20).mpf - 2, digits=20)
-    with pytest.raises(ValueError):
-        log_real(0, digits=20)
-
-
-def test_log_gamma_values():
-    assert log_gamma(real(1, 40)).mpf == 0
-    lg5 = log_gamma(real(5, 60))
-    assert agreement_digits(lg5, log_real(real(24, 60))) >= 58
-
-
-def test_log_gamma_reflection_oracle():
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x) at x = 1/4
-    d = 80
-    quarter = log_gamma(real(Fraction(1, 4), d))
-    three_quarters = log_gamma(real(Fraction(3, 4), d))
-    with mp.workdps(d + 25):
-        expected = mp.log(mp.pi * mp.sqrt(2))
-        assert abs(quarter.mpf + three_quarters.mpf - expected) < mp.mpf(10) ** -(d - 5)
-
-
-def test_log_gamma_recurrence_sampled():
-    rng = random.Random(141)
-    d = 60
-    for _ in range(15):
-        x = Fraction(rng.uniform(1e-3, 50.0))  # floats are exact rationals
-        shifted = log_gamma(real(x + 1, d))
-        base = log_gamma(real(x, d))
-        with mp.workdps(d + 25):
-            rhs = base.mpf + mp.log(to_mpf(x))
-            assert abs(shifted.mpf - rhs) < mp.mpf(10) ** -(d - 5)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        log_gamma(-1, digits=20)
-
-
-def test_pow_int_cases():
-    assert pow_int(4, 3) == 64
-    assert pow_int(-4, 2) == 16
-    assert pow_int(2, -3) == Fraction(1, 8)
-    assert pow_int(Fraction(3, 2), 2) == Fraction(9, 4)
-    with pytest.raises(ZeroDivisionError):
-        pow_int(0, -1)
-
-
 def test_exact_rational_field_axioms():
     rng = random.Random(20110220)
 
@@ -193,13 +86,6 @@ def test_division_by_zero_is_an_error():
         Fraction(1, 2) / Fraction(0)
 
 
-def test_precision_monotonicity_of_ops():
-    for op, arg in ((exp_real, Fraction(3, 7)), (log_real, 5), (log_gamma, Fraction(13, 3))):
-        low = op(real(arg, 30))
-        high = op(real(arg, 90))
-        assert agreement_digits(low, high) >= 28
-
-
 def test_decimal_string_rounding_and_padding():
     with mp.workdps(30):
         assert decimal_string(mp.mpf(1), 8) == "1.0000000"
@@ -212,7 +98,7 @@ def test_decimal_string_rounding_and_padding():
 
 def test_precision_real_validation():
     with pytest.raises(ValueError):
-        real(1, 0)
+        PrecisionReal(mp.mpf(1), 0)
     with pytest.raises(ValueError):
         PrecisionReal(mp.mpf(1), 10, guard=-1)
 
