@@ -28,7 +28,6 @@ from .identities import (
     zeta_4m1_residual,
 )
 from .precision import (
-    DEFAULT_GUARD,
     PrecisionReal,
     agreement_digits,
     decimal_string,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientTriple",
-    "DEFAULT_GUARD",
     "PrecisionReal",
     "RelationNotFoundError",
     "RelationResult",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 
 
 class Target(Enum):
@@ -110,6 +110,15 @@ def memo_preload(values):
     for i in range(2, len(values), 2):
         if (values[i] > 0) != (i % 4 == 2) or values[i].denominator != denominators[i]:
             return False
+    # sum_{j<=n} C(n+1, j) B_j = 0 at the top index n, summed in integers over the
+    # common denominator; every C(n+1, j) is nonzero, so one wrong entry breaks it
+    n, common = len(values) - 1, lcm(*denominators)
+    total, binomial = 0, 1
+    for j, v in enumerate(values):
+        total += binomial * v.numerator * (common // v.denominator)
+        binomial = binomial * (n + 1 - j) // (j + 1)
+    if total:
+        return False
     with _memo_lock:
         if len(values) > len(_memo):
             _memo = values

@@ -27,12 +27,11 @@ import mpmath as mp
 
 from .bernoulli import Target, bernoulli, memo_preload, memo_snapshot, triple_for
 from .identities import verify_all
-from .precision import DEFAULT_GUARD, PrecisionReal, agreement_digits, format_rational, pi_const
-from .relations import RelationNotFoundError, min_digits_for, rediscover_triple
+from .precision import GUARD, PrecisionReal, agreement_digits, format_rational, pi_const
+from .relations import MAX_COEFF, RelationNotFoundError, min_digits_for, rediscover_triple
 from .series import apery_zeta3, eval_pi_power, eval_zeta_odd, zeta_reference
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
-DEFAULT_MAX_COEFF = 10 ** 9
 
 
 @dataclass
@@ -133,26 +132,25 @@ def _cmd_coeffs(args):
 def _eval_oracle(target, exponent, digits):
     """Independent value for --check: a pi power, or an eta-series zeta."""
     if target is Target.PI_POWER:
-        return pi_const(digits, guard=DEFAULT_GUARD + 2 * exponent).mpf ** exponent
+        return PrecisionReal(pi_const(digits + 2 * exponent).mpf ** exponent, digits)
     if exponent == 3:
-        return apery_zeta3(digits).mpf
-    return zeta_reference(exponent, digits).mpf
+        return apery_zeta3(digits)
+    return zeta_reference(exponent, digits)
 
 
 def _cmd_eval(args):
     target = Target(args.target)
     if target is Target.PI_POWER:
-        value = eval_pi_power(args.exponent, args.digits, args.guard)
+        value = eval_pi_power(args.exponent, args.digits)
     else:
-        value = eval_zeta_odd(args.exponent, args.digits, args.guard)
+        value = eval_zeta_odd(args.exponent, args.digits)
     text = value.to_decimal_string()
     result = {"value": text}
     lines = [text]
     if args.check:
-        with mp.workdps(args.digits + args.guard + 2 * args.exponent + 10):
+        with mp.workdps(args.digits + GUARD + 2 * args.exponent + 10):
             oracle = _eval_oracle(target, args.exponent, args.digits + 10)
-        agree = agreement_digits(value.mpf, oracle, dps=args.digits + args.guard + 20)
-        agree = min(agree, args.digits)
+        agree = min(agreement_digits(value, oracle), args.digits)
         result["oracle_agreement_digits"] = agree
         lines.append(f"agrees with oracle to >={agree} digits")
     record = OutputRecord("eval", {"target": args.target, "exponent": args.exponent},
@@ -162,7 +160,7 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
-    reports = verify_all(args.max_m, args.digits, args.guard)
+    reports = verify_all(args.max_m, args.digits)
     wall_ms = int((time.monotonic() - args._t0) * 1000)
     payload = [r.to_json_dict() for r in reports]
     print(json.dumps(payload, indent=2))
@@ -172,14 +170,13 @@ def _cmd_verify(args):
 
 
 def _cmd_discover(args):
-    minimum = min_digits_for(4, DEFAULT_MAX_COEFF)
+    minimum = min_digits_for(4, MAX_COEFF)
     if args.digits < minimum:
         print(f"insufficient precision: {args.digits} digits is below the detectability "
-              f"threshold of {minimum} for coefficients up to {DEFAULT_MAX_COEFF:.0e}",
+              f"threshold of {minimum} for coefficients up to {MAX_COEFF:.0e}",
               file=sys.stderr)
         return 1
-    result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits,
-                                       guard=args.guard, max_coeff_bound=DEFAULT_MAX_COEFF)
+    result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits)
     v0 = result.vector[0]
     scaled = [Fraction(v, -v0) for v in result.vector]
     vector_text = "[" + ", ".join(format_rational(q) for q in scaled) + "]"
@@ -276,8 +273,6 @@ def build_parser():
     def add_common(p, formats=None, digits=False, max_m=False, check=False):
         p.add_argument("--cache", default=None, metavar="PATH",
                        help="Bernoulli cache file (default: $PLOUFFE_CACHE)")
-        p.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD,
-                       help="extra working digits beyond the requested precision")
         p.add_argument("--timing", action="store_true",
                        help="report wall time (JSON field, or a note on stderr)")
         if formats:
@@ -285,7 +280,7 @@ def build_parser():
         if digits:
             p.add_argument("--digits", type=_positive_int, default=DEFAULT_DIGITS,
                            help=f"requested decimal precision (default {DEFAULT_DIGITS}); "
-                                f"discovery needs at least {min_digits_for(4, DEFAULT_MAX_COEFF)}")
+                                f"discovery needs at least {min_digits_for(4, MAX_COEFF)}")
         if max_m:
             p.add_argument("--max-m", dest="max_m", type=_positive_int, default=1)
         if check:

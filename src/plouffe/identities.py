@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
-from .precision import DEFAULT_GUARD, PrecisionReal, to_mpf
+from .precision import GUARD, PrecisionReal, to_mpf
 from .series import _s_raw, _zeta_ref_raw
 
 SLACK = 10
@@ -84,15 +84,15 @@ def term_values(terms, accuracy):
     return values
 
 
-def _run(checks, digits, guard):
+def _run(checks, digits):
     """Reports for (identity, parameters, form) checks, whose residuals
-    |sum c v| have absolute error below 10**-(digits + guard): a form of N
-    pairs with coefficients up to C needs its terms to places(digits + guard,
+    |sum c v| have absolute error below 10**-(digits + GUARD): a form of N
+    pairs with coefficients up to C needs its terms to places(digits + GUARD,
     N C).  Each distinct term is evaluated once, to the accuracy the most
     demanding form needs.
     """
     forms = [form for _, _, form in checks]
-    accuracy = max(places(digits + guard, len(form) * max(abs(_mpf(c)) for c, _ in form))
+    accuracy = max(places(digits + GUARD, len(form) * max(abs(_mpf(c)) for c, _ in form))
                    for form in forms)
     values = term_values(dict.fromkeys(term for form in forms for _, term in form), accuracy)
     threshold = mp.mpf(10) ** (SLACK - digits)
@@ -100,7 +100,7 @@ def _run(checks, digits, guard):
     for identity, parameters, form in checks:
         with mp.workdps(places(accuracy, max(abs(_mpf(c) * values[t]) for c, t in form)) + 10):
             residual = abs(mp.fsum(_mpf(c) * values[t] for c, t in form))
-        reports.append(ResidualReport(identity, parameters, PrecisionReal(residual, digits, guard),
+        reports.append(ResidualReport(identity, parameters, PrecisionReal(residual, digits),
                                       digits, bool(residual < threshold)))
     return reports
 
@@ -138,7 +138,7 @@ def _ramanujan(alpha, n):
     return "ramanujan", {"alpha": mp.nstr(mp.mpf(float(rho) * math.pi ** j), 10), "n": n}, form
 
 
-def ramanujan_residual(alpha, n, digits, guard=DEFAULT_GUARD):
+def ramanujan_residual(alpha, n, digits):
     """Residual of the alpha/beta transformation with beta = pi^2/alpha:
 
         alpha^-n (zeta(2n+1)/2 + S_(2n+1)(2 alpha/pi))
@@ -148,7 +148,7 @@ def ramanujan_residual(alpha, n, digits, guard=DEFAULT_GUARD):
     Holds for every alpha > 0 and n >= 1; checked numerically at the given
     precision, at alpha taken exactly, with zeta from the independent oracle.
     """
-    return _run([_ramanujan(alpha, n)], digits, guard)[0]
+    return _run([_ramanujan(alpha, n)], digits)[0]
 
 
 def _symmetric_point(n):
@@ -160,7 +160,7 @@ def _symmetric_point(n):
         (Fraction(4 ** n, 2) * f_sum(n), ("pi", e))]
 
 
-def symmetric_point_residual(n, digits, guard=DEFAULT_GUARD):
+def symmetric_point_residual(n, digits):
     """Residual of the odd-n reduction at the symmetric point alpha = beta = pi:
 
         zeta(2n+1)/2 + S_(2n+1)(2) = -(4^n/2) pi^(2n+1) F_n
@@ -168,7 +168,7 @@ def symmetric_point_residual(n, digits, guard=DEFAULT_GUARD):
     Even n is rejected: F_n = 0 makes both sides vanish identically, so a
     residual check there would pass vacuously.
     """
-    return _run([_symmetric_point(n)], digits, guard)[0]
+    return _run([_symmetric_point(n)], digits)[0]
 
 
 def _zeta_4m1(m):
@@ -181,14 +181,14 @@ def _zeta_4m1(m):
         (Fraction(sixteen, sixteen - 1) * g_sum(2 * m), ("pi", e))]
 
 
-def zeta_4m1_residual(m, digits, guard=DEFAULT_GUARD):
+def zeta_4m1_residual(m, digits):
     """Residual of the zeta(4m+1) evaluation (alpha = 2 pi, beta = pi/2):
 
         zeta(4m+1) = (-2*16^m S(1) + 2 S(4) - 16^m pi^(4m+1) G_(2m)) / (16^m - 1)
 
     with S = S_(4m+1).  m = 0 is rejected (the denominator vanishes).
     """
-    return _run([_zeta_4m1(m)], digits, guard)[0]
+    return _run([_zeta_4m1(m)], digits)[0]
 
 
 def _vepstas(m):
@@ -201,7 +201,7 @@ def _vepstas(m):
         (-(2 ** e * h_sum(m) + 2 ** (4 * m) * g_sum(2 * m)), ("pi", e))]
 
 
-def vepstas_residual(m, digits, guard=DEFAULT_GUARD):
+def vepstas_residual(m, digits):
     """Residual of the Vepstas expression for zeta(4m+1), m >= 1:
 
         (1 + (-4)^m - 2^(4m+1)) zeta(4m+1)
@@ -210,7 +210,7 @@ def vepstas_residual(m, digits, guard=DEFAULT_GUARD):
 
     with S, T at exponent 4m+1 and T from the companion-series evaluator.
     """
-    return _run([_vepstas(m)], digits, guard)[0]
+    return _run([_vepstas(m)], digits)[0]
 
 
 def _ts_identity(n, rate):
@@ -223,9 +223,9 @@ def _ts_identity(n, rate):
         (1, series_term(n, x, plus_one=True)), (-1, series_term(n, x, weights=((1, 1), (2, -2))))]
 
 
-def ts_identity_residual(n, rate, digits, guard=DEFAULT_GUARD):
+def ts_identity_residual(n, rate, digits):
     """Residual of T_n(x) = S_n(x) - 2 S_n(2x) at rate x."""
-    return _run([_ts_identity(n, rate)], digits, guard)[0]
+    return _run([_ts_identity(n, rate)], digits)[0]
 
 
 def _triple(target, exponent):
@@ -235,13 +235,13 @@ def _triple(target, exponent):
         (1, series_term(exponent, 1, weights=zip((1, 2, 4), triple.coefficients()))), (-1, oracle)]
 
 
-def triple_residual(target, exponent, digits, guard=DEFAULT_GUARD):
+def triple_residual(target, exponent, digits):
     """Residual of a*S(1) + b*S(2) + c*S(4) against an independent oracle
     (pi**exponent, or the alternating-eta zeta value)."""
-    return _run([_triple(target, exponent)], digits, guard)[0]
+    return _run([_triple(target, exponent)], digits)[0]
 
 
-def verify_all(max_m, digits, guard=DEFAULT_GUARD):
+def verify_all(max_m, digits):
     """Residual reports for every identity over its parameter range up to
     max_m, plus the triple identities for all odd exponents <= 4*max_m + 1,
     evaluated together so that each distinct term is computed once.
@@ -263,4 +263,4 @@ def verify_all(max_m, digits, guard=DEFAULT_GUARD):
     checks += [_ts_identity(e, rate) for e in exponents for rate in (1, 2)]
     checks += [_triple(target, e) for e in exponents for target in Target
                if target is Target.PI_POWER or e >= 3]
-    return _run(checks, digits, guard)
+    return _run(checks, digits)

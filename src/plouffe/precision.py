@@ -1,9 +1,9 @@
 """Arbitrary-precision primitives with explicit decimal-precision contracts.
 
-The external unit of precision is decimal digits: a value carrying
-``digits = D`` is accurate to an absolute error below ``10**-D``, and is
-computed at ``digits + guard`` decimal places, so the published contract is
-stated at the requested precision and the guard absorbs rounding noise.
+The only unit of precision is decimal digits: a value carrying
+``digits = D`` is accurate to an absolute error below ``10**-D``.  It is
+computed at ``D + GUARD`` decimal places, a fixed 20 guard digits that
+absorb rounding noise, so the contract is stated in ``D`` alone.
 
 Exact rational arithmetic is :class:`fractions.Fraction`, which already
 guarantees a reduced numerator/denominator pair with a positive
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-DEFAULT_GUARD = 20
+GUARD = 20  # decimal places computed beyond the requested digits
 
 
 def to_mpf(value):
@@ -36,18 +36,15 @@ class PrecisionReal:
 
     mpf: mp.mpf
     digits: int
-    guard: int = DEFAULT_GUARD
 
     def __post_init__(self):
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
-        if self.guard < 0:
-            raise ValueError("guard must be >= 0")
 
-    def to_decimal_string(self, sig_digits=None):
-        """Decimal string with exactly ``sig_digits`` significant digits
+    def to_decimal_string(self):
+        """Decimal string with exactly ``digits`` significant digits
         (round-half-even at the final digit, trailing zeros kept)."""
-        return decimal_string(self.mpf, sig_digits if sig_digits is not None else self.digits)
+        return decimal_string(self.mpf, self.digits)
 
     def __float__(self):
         return float(self.mpf)
@@ -57,7 +54,7 @@ class PrecisionReal:
         return f"PrecisionReal({decimal_string(self.mpf, shown)}, digits={self.digits})"
 
 
-def pi_const(digits, guard=DEFAULT_GUARD):
+def pi_const(digits):
     """pi with absolute error below 10**-digits.
 
     Deterministic: repeated calls at the same precision yield identical
@@ -65,8 +62,8 @@ def pi_const(digits, guard=DEFAULT_GUARD):
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + guard):
-        return PrecisionReal(+mp.pi, digits, guard)
+    with mp.workdps(digits + GUARD):
+        return PrecisionReal(+mp.pi, digits)
 
 
 def decimal_string(x, sig_digits):
@@ -99,24 +96,22 @@ def decimal_string(x, sig_digits):
         r = d.quantize(Decimal(1).scaleb(target))
         if r.adjusted() > d.adjusted():
             # the round carried into a new leading digit (9.99... -> 10.0...)
-            r = r.quantize(Decimal(1).scaleb(target + 1))
+            target += 1
+            r = r.quantize(Decimal(1).scaleb(target))
     if target > 0:
         # fewer requested digits than integer places: keep the count visible
         return sign + format(r, "e")
     return sign + format(r, "f")
 
 
-def agreement_digits(a, b, dps=None):
-    """Decimal digits of absolute agreement: floor(-log10 |a - b|).
+def agreement_digits(a, b):
+    """Decimal digits of absolute agreement of two PrecisionReals:
+    floor(-log10 |a - b|).
 
     Returns a large sentinel (10**6) when the two values are identical.
     """
-    if dps is None:
-        da = a.digits + a.guard if isinstance(a, PrecisionReal) else mp.mp.dps
-        db = b.digits + b.guard if isinstance(b, PrecisionReal) else mp.mp.dps
-        dps = max(da, db) + 10
-    with mp.workdps(dps):
-        diff = abs(to_mpf(a) - to_mpf(b))
+    with mp.workdps(max(a.digits, b.digits) + GUARD + 10):
+        diff = abs(a.mpf - b.mpf)
         if diff == 0:
             return 10 ** 6
         return int(mp.floor(-mp.log10(diff)))

@@ -18,7 +18,10 @@ import mpmath as mp
 
 from .bernoulli import Target, CoefficientTriple, triple_for
 from .identities import places, series_term, term_values
-from .precision import DEFAULT_GUARD, PrecisionReal, to_mpf
+from .precision import GUARD, PrecisionReal, to_mpf
+
+MAX_COEFF = 10 ** 9  # the largest relation coefficient searched for
+MAX_ITERATIONS = 10 ** 4
 
 
 class RelationNotFoundError(RuntimeError):
@@ -49,30 +52,25 @@ def _canonical(vector):
     return tuple(vector)
 
 
-def _verify_residual(xs, vector, digits, guard):
-    """|sum v_i x_i| re-evaluated at digits + 30 working places."""
-    with mp.workdps(digits + guard + 30):
-        return abs(mp.fsum(v * x for v, x in zip(vector, xs)))
-
-
 def min_digits_for(n_values, max_coeff_bound):
     """Detectability rule of thumb: D > n * log10(bound) + 15."""
     return math.ceil(n_values * math.log10(max_coeff_bound)) + 15
 
 
-def pslq(values, digits, max_coeff_bound=10 ** 9, max_iterations=10 ** 4, guard=DEFAULT_GUARD):
+def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     """Search for a nonzero integer vector v with sum v_i x_i = 0.
 
     Returns a RelationResult: a canonical-form relation when one is found
     within the coefficient bound, otherwise found = False together with a
     lower bound on the norm of any relation that could still exist.
-    Termination: min |y_i| < 10**-(digits-10), the iteration cap, or the
-    norm bound exceeding the coefficient bound.
+    Termination: min |y_i| < 10**-(digits-10), tested before every iteration
+    (the initial reduction can already expose a relation), MAX_ITERATIONS,
+    or the norm bound exceeding the coefficient bound, which may be any int.
     """
     n = len(values)
     if n < 2:
         raise ValueError("pslq needs at least 2 values")
-    with mp.workdps(digits + guard):
+    with mp.workdps(digits + GUARD):
         xs = [to_mpf(v) for v in values]
         if all(x == 0 for x in xs):
             raise ValueError("pslq input is the zero vector")
@@ -81,7 +79,7 @@ def pslq(values, digits, max_coeff_bound=10 ** 9, max_iterations=10 ** 4, guard=
                 # a zero entry makes the unit relation trivially exact
                 unit = [0] * n
                 unit[idx] = 1
-                return RelationResult(_canonical(unit), PrecisionReal(mp.mpf(0), digits, guard),
+                return RelationResult(_canonical(unit), PrecisionReal(mp.mpf(0), digits),
                                       0, True, 1.0)
 
         tol = mp.mpf(10) ** (-(digits - 10))
@@ -120,7 +118,22 @@ def pslq(values, digits, max_coeff_bound=10 ** 9, max_iterations=10 ** 4, guard=
 
         best_bound = 0.0
         iterations = 0
-        while iterations < max_iterations:
+        while True:
+            y_min, idx = min((abs(v), i) for i, v in enumerate(y))
+            if y_min < tol:
+                vector = _canonical([B[j][idx] for j in range(n)])
+                with mp.workdps(digits + GUARD + 30):  # re-evaluated 30 places finer
+                    residual = abs(mp.fsum(v * x for v, x in zip(vector, xs)))
+                scale = max(abs(v) for v in xs)
+                ok = (max(abs(v) for v in vector) <= max_coeff_bound
+                      and residual < mp.mpf(10) ** (-(digits - 15)) * scale)
+                if ok:
+                    return RelationResult(vector, PrecisionReal(residual, digits),
+                                          iterations, True, best_bound)
+                break  # numerically spent: the candidate does not verify
+            # float against int, so the bound may lie past the float range
+            if best_bound / math.sqrt(n) > max_coeff_bound or iterations == MAX_ITERATIONS:
+                break  # no relation within the coefficient bound exists, or the cap is hit
             iterations += 1
             m, best = 0, mp.mpf(-1)
             for i in range(n - 1):
@@ -148,26 +161,11 @@ def pslq(values, digits, max_coeff_bound=10 ** 9, max_iterations=10 ** 4, guard=
             if h_max > 0:
                 best_bound = max(best_bound, float(1 / h_max))
 
-            y_min, idx = min((abs(v), i) for i, v in enumerate(y))
-            if y_min < tol:
-                vector = _canonical([B[j][idx] for j in range(n)])
-                residual = _verify_residual(xs, vector, digits, guard)
-                scale = max(abs(v) for v in xs)
-                ok = (max(abs(v) for v in vector) <= max_coeff_bound
-                      and residual < mp.mpf(10) ** (-(digits - 15)) * scale)
-                if ok:
-                    return RelationResult(vector, PrecisionReal(residual, digits, guard),
-                                          iterations, True, best_bound)
-                break  # numerically spent: the candidate does not verify
-            if best_bound > max_coeff_bound * math.sqrt(n):
-                break  # no relation within the coefficient bound exists
-
-        return RelationResult((), PrecisionReal(mp.mpf(1), digits, guard),
+        return RelationResult((), PrecisionReal(mp.mpf(1), digits),
                               iterations, False, best_bound)
 
 
-def rediscover_triple(target, exponent, digits, guard=DEFAULT_GUARD,
-                      max_coeff_bound=10 ** 9, max_iterations=10 ** 4):
+def rediscover_triple(target, exponent, digits):
     """Recover (a, b, c) for the given target from raw numeric values.
 
     Runs pslq on [target value, S(1), S(2), S(4)], normalizes the relation
@@ -179,11 +177,11 @@ def rediscover_triple(target, exponent, digits, guard=DEFAULT_GUARD,
 
     lead = ("pi" if target is Target.PI_POWER else "zeta", exponent)
     terms = [lead] + [series_term(exponent, r) for r in (1, 2, 4)]
-    # a relation with coefficients up to the bound must vanish to digits + guard places
-    accuracy = places(digits + guard, len(terms) * max_coeff_bound)
+    # a relation with coefficients up to the bound must vanish to digits + GUARD places
+    accuracy = places(digits + GUARD, len(terms) * MAX_COEFF)
     values = list(term_values(terms, accuracy).values())
 
-    result = pslq(values, digits, max_coeff_bound, max_iterations, guard)
+    result = pslq(values, digits)
     if not result.found:
         raise RelationNotFoundError(
             f"no relation found for {target.value} exponent {exponent} at {digits} digits "

@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, triple_for
-from .precision import DEFAULT_GUARD, PrecisionReal, to_mpf
+from .precision import GUARD, PrecisionReal, to_mpf
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class SeriesSpec:
     n: int
     r: object  # int, Fraction, float or mpf; any positive rate
     digits: int
-    guard: int = DEFAULT_GUARD
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -108,27 +107,27 @@ def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)
 
 def s_series(spec):
     """S_n(r) at the precision requested by `spec`."""
-    value = _s_raw(spec.n, spec.r, spec.digits + spec.guard)
-    return PrecisionReal(value, spec.digits, spec.guard)
+    value = _s_raw(spec.n, spec.r, spec.digits + GUARD)
+    return PrecisionReal(value, spec.digits)
 
 
-def _assemble(triple, digits, guard):
-    """a*S(1) + b*S(2) + c*S(4) at absolute error below 10**-(digits + guard),
+def _assemble(triple, digits):
+    """a*S(1) + b*S(2) + c*S(4) at absolute error below 10**-(digits + GUARD),
     summed as one weighted q-series."""
-    value = _s_raw(triple.exponent, 1, digits + guard, weights=zip((1, 2, 4), triple.coefficients()))
-    return PrecisionReal(value, digits, guard)
+    value = _s_raw(triple.exponent, 1, digits + GUARD, weights=zip((1, 2, 4), triple.coefficients()))
+    return PrecisionReal(value, digits)
 
 
-def eval_pi_power(exponent, digits, guard=DEFAULT_GUARD):
+def eval_pi_power(exponent, digits):
     """pi**exponent assembled from its three-series representation."""
-    return _assemble(triple_for(Target.PI_POWER, exponent), digits, guard)
+    return _assemble(triple_for(Target.PI_POWER, exponent), digits)
 
 
-def eval_zeta_odd(exponent, digits, guard=DEFAULT_GUARD):
+def eval_zeta_odd(exponent, digits):
     """zeta(exponent) for odd exponent >= 3, assembled from its triple."""
     if exponent == 1:
         raise ValueError("zeta(1) diverges")
-    return _assemble(triple_for(Target.ZETA_VALUE, exponent), digits, guard)
+    return _assemble(triple_for(Target.ZETA_VALUE, exponent), digits)
 
 
 def _apery_raw(target_digits):
@@ -151,13 +150,13 @@ def _apery_raw(target_digits):
     return mp.mpf(5) / 2 * total
 
 
-def apery_zeta3(digits, guard=DEFAULT_GUARD):
+def apery_zeta3(digits):
     """zeta(3) through the accelerated series, to the precision contract."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + guard + 5):
-        value = _apery_raw(digits + guard)
-    return PrecisionReal(value, digits, guard)
+    with mp.workdps(digits + GUARD + 5):
+        value = _apery_raw(digits + GUARD)
+    return PrecisionReal(value, digits)
 
 
 def _zeta_ref_raw(s, target_digits):
@@ -181,15 +180,15 @@ def _zeta_ref_raw(s, target_digits):
     return eta / (1 - mp.mpf(2) ** (1 - s))
 
 
-def zeta_reference(s, digits, guard=DEFAULT_GUARD):
+def zeta_reference(s, digits):
     """Independent zeta oracle for integer s >= 2 (no Lambert-series code)."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_reference requires an integer s >= 2")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + guard + 10):
-        value = _zeta_ref_raw(s, digits + guard)
-    return PrecisionReal(value, digits, guard)
+    with mp.workdps(digits + GUARD + 10):
+        value = _zeta_ref_raw(s, digits + GUARD)
+    return PrecisionReal(value, digits)
 
 
 _S1_RATES = (1, 2, 4)
@@ -207,12 +206,12 @@ def _s1_closed_raw(r):
     return s14 + mp.log(mp.mpf(1) / 4) / 4 + pi / 8
 
 
-def s1_closed_form(r, digits, guard=DEFAULT_GUARD):
+def s1_closed_form(r, digits):
     """Log/log-gamma closed form of S_1(r), valid only for r in {1, 2, 4}."""
     if r not in _S1_RATES:
         raise ValueError(f"no closed form implemented for rate {r!r}; use r in {{1, 2, 4}}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + guard + 5):
+    with mp.workdps(digits + GUARD + 5):
         value = _s1_closed_raw(int(r))
-    return PrecisionReal(value, digits, guard)
+    return PrecisionReal(value, digits)

@@ -4,6 +4,7 @@ cache persistence, schema conformance, and byte-level determinism."""
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ import mpmath as mp
 import pytest
 
 from plouffe.bernoulli import triple_for
-from plouffe.cli import main
+from plouffe.cli import build_parser, main
 from plouffe.precision import decimal_string, pi_const
 
 bernoulli_module = importlib.import_module("plouffe.bernoulli")  # the package rebinds the name
@@ -235,6 +236,28 @@ def test_cache_with_a_wrong_value_is_rejected_and_rewritten(tmp_path, capsys, mo
     assert len(rows) > 4
     assert all(Fraction(value) == Fraction(*(int(x) for x in mp.bernfrac(int(index))))
                for index, value in rows)
+
+
+def test_cache_with_a_wrong_numerator_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch):
+    # B_4 = -7/30 has the right sign and denominator; only the recurrence exposes it
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    cache = tmp_path / "wrong.cache"
+    cache.write_text("0 1\n1 -1/2\n2 1/6\n3 0\n4 -7/30\n")
+    code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))
+    assert (code, out) == (0, "-1/30\n")
+    rows = [line.split() for line in cache.read_text().splitlines()]
+    assert [int(index) for index, _ in rows] == list(range(len(rows)))
+    assert all(Fraction(value) == Fraction(*(int(x) for x in mp.bernfrac(int(index))))
+               for index, value in rows)
+
+
+def test_readme_flags_are_the_registered_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    flags = re.search(r"^Flags:(.*?)\n\n", readme, re.S | re.M).group(1)
+    subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    registered = {option for p in subparsers.choices.values() for action in p._actions
+                  for option in action.option_strings if option.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", flags)) == registered - {"--help"}
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -174,6 +174,6 @@ def test_every_coefficient_of_every_identity_matters():
         "ramanujan", "symmetric_point", "zeta_4m1", "vepstas", "ts_identity", "triple"}
     variants = [(identity, params, form[:i] + [(perturbed(c), term)] + form[i + 1:])
                 for identity, params, form in checks for i, (c, term) in enumerate(form)]
-    assert all(r.passed for r in identities._run(checks, 60, 20))
-    passed = [r.passed for r in identities._run(variants, 60, 20)]
+    assert all(r.passed for r in identities._run(checks, 60))
+    passed = [r.passed for r in identities._run(variants, 60)]
     assert len(passed) == len(variants) and not any(passed)

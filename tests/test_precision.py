@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plouffe.precision import PrecisionReal, decimal_string, format_rational, pi_const
 
@@ -96,11 +98,56 @@ def test_decimal_string_rounding_and_padding():
         assert decimal_string(mp.mpf(1) / 2 ** 20, 6) == "0.000000953674"
 
 
+def decimal_reference(value, sig_digits):
+    """The digit string of an exact Fraction, rounded half-even on integers."""
+    sign, value = ("-" if value < 0 else ""), abs(value)
+    e = len(str(value.numerator)) - len(str(value.denominator))  # floor(log10), off by <= 1
+    e += (value >= Fraction(10) ** (e + 1)) - (value < Fraction(10) ** e)
+    t = e - sig_digits + 1
+    n = round(value / Fraction(10) ** t)  # Fraction rounds half to even
+    if n == 10 ** sig_digits:  # the round carried into a new leading digit
+        t, n = t + 1, 10 ** (sig_digits - 1)
+    digits = str(n)
+    if t > 0:
+        mantissa = digits[0] + ("." + digits[1:] if sig_digits > 1 else "")
+        return f"{sign}{mantissa}e{t + sig_digits - 1:+d}"
+    digits = digits.rjust(1 - t, "0")
+    return sign + digits[:len(digits) + t] + ("." + digits[len(digits) + t:] if t else "")
+
+
+@st.composite
+def dyadic_cases(draw):
+    """(man, exp, sig_digits); some values sit on a decimal tie or next to a power of ten."""
+    kind = draw(st.sampled_from(["any", "tie", "power of ten"]))
+    if kind == "power of ten":
+        k, bits = draw(st.integers(-100, 50)), draw(st.integers(10, 300))
+        exp = math.floor(k * math.log2(10)) - bits
+        man = round(Fraction(10) ** k / Fraction(2) ** exp) + draw(st.integers(-2, 2))
+    else:
+        man = draw(st.integers(1, 2 ** 20 if kind == "tie" else 2 ** 300))
+        exp = draw(st.integers(-40, 20) if kind == "tie" else st.integers(-400, 200))
+    value = Fraction(man) * Fraction(2) ** exp
+    exact = len(str(value.numerator * 10 ** 400 // value.denominator).rstrip("0"))
+    # a dyadic non-integer ends in the digit 5, so one digit fewer is a tie
+    if kind == "tie" and 2 <= exact <= 61:
+        sig = exact - 1
+    else:
+        sig = draw(st.integers(1, 60))
+    return draw(st.sampled_from([man, -man])), exp, sig
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dyadic_cases())
+@example(case=(1279, -7, 1))  # 9.99... carries to 1e+1 at one digit, not "10"
+def test_decimal_string_matches_an_exact_fraction_reference(case):
+    man, exp, sig = case
+    x = mp.make_mpf(mp.libmp.from_man_exp(man, exp))  # exact; mp.mpf(...) would round to 53 bits
+    assert decimal_string(x, sig) == decimal_reference(Fraction(man) * Fraction(2) ** exp, sig)
+
+
 def test_precision_real_validation():
     with pytest.raises(ValueError):
         PrecisionReal(mp.mpf(1), 0)
-    with pytest.raises(ValueError):
-        PrecisionReal(mp.mpf(1), 10, guard=-1)
 
 
 def test_format_rational():

@@ -3,10 +3,13 @@ invariance, verified residuals, no-relation exclusion, and triple
 rediscovery against the exact closed forms."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plouffe.bernoulli import Target, triple_for
 from plouffe.precision import pi_const
@@ -20,7 +23,7 @@ def s1_values(digits):
 
 def test_pslq_finds_the_pi_relation():
     values = [pi_const(120).mpf] + s1_values(120)
-    result = pslq(values, 100, max_coeff_bound=10 ** 6, max_iterations=10 ** 4)
+    result = pslq(values, 100, max_coeff_bound=10 ** 6)
     assert result.found
     assert result.vector == (1, -72, 96, -24)  # canonical form of +-(-1, 72, -96, 24)
 
@@ -71,6 +74,43 @@ def test_pslq_scale_invariance():
     assert pslq(values, 100).vector == pslq(scaled, 100).vector
 
 
+@pytest.mark.parametrize("x", ["1.7", "1.5", "1.123456789"])
+@pytest.mark.parametrize("relation", [(1, 3), (1, -3)])
+def test_pslq_relation_exposed_by_the_initial_reduction(x, relation):
+    # the first reduction already makes one y entry vanish; an iteration
+    # taken before the test would divide by the zero it leaves on H's diagonal
+    with mp.workdps(100):
+        x = mp.mpf(x)
+        values = [x, -x * relation[0] / relation[1]]
+    result = pslq(values, 51, max_coeff_bound=10)
+    assert result.found and result.vector == relation
+
+
+def test_pslq_accepts_a_bound_past_the_float_range():
+    with mp.workdps(100):
+        result = pslq([+mp.pi, +mp.e], 50, max_coeff_bound=10 ** 400)
+    assert not result.found and result.vector == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pslq_recovers_planted_relations(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    bound = 10 ** data.draw(st.integers(1, 6), label="log10 bound")
+    planted = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+                        .filter(lambda v: v[-1] != 0), label="planted")
+    digits = min_digits_for(n, bound) + data.draw(st.integers(5, 40), label="extra digits")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 64), label="seed"))
+    bits = 4 * digits + 100
+    with mp.workdps(digits + 40):
+        xs = [mp.mpf(rng.getrandbits(bits)) / 2 ** bits for _ in range(n - 1)]
+        xs.append(-mp.fsum(v * x for v, x in zip(planted, xs)) / planted[-1])
+    g = math.gcd(*planted)
+    sign = 1 if next(v for v in planted if v) > 0 else -1
+    result = pslq(xs, digits, max_coeff_bound=bound)
+    assert result.found and result.vector == tuple(sign * v // g for v in planted)
+
+
 def test_pslq_zero_entry_gives_unit_relation():
     result = pslq([mp.mpf(0), mp.mpf(1)], 50)
     assert result.found and result.vector == (1, 0)
@@ -112,7 +152,7 @@ def test_rediscover_rejects_even_exponent():
 def test_rediscover_insufficient_precision_raises():
     with pytest.raises(RelationNotFoundError):
         # far too few digits for the exponent-9 coefficients
-        rediscover_triple(Target.ZETA_VALUE, 9, 30, max_iterations=400)
+        rediscover_triple(Target.ZETA_VALUE, 9, 30)
 
 
 @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9])
