@@ -36,6 +36,7 @@ class Target(Enum):
 # same prefix under _memo_lock, so a reader holding the old list stays right.
 _memo = [Fraction(1), Fraction(-1, 2)]
 _memo_lock = threading.Lock()
+_built = 0  # the longest prefix this process built; preloaded entries do not count
 
 
 def _bernoulli_prefix(n):
@@ -66,11 +67,11 @@ def _bernoulli_prefix(n):
 def bernoulli(k):
     """Exact k-th Bernoulli number (B_0 = 1, B_1 = -1/2), memoized.
 
-    A miss rebuilds the prefix B_0..B_N with N = max(k, 2 * memo length)
-    from tangent numbers (Brent & Harvey), so the memo can hold more
-    entries than the highest index asked for.
+    A miss rebuilds B_0..B_N from tangent numbers (Brent & Harvey), N = max(k,
+    2 * the longest prefix this process built, capped at the memo length), so
+    the memo can outrun k, but a miss just past a preloaded cache builds to k.
     """
-    global _memo
+    global _memo, _built
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
     memo = _memo
@@ -78,7 +79,8 @@ def bernoulli(k):
         return memo[k]
     with _memo_lock:
         if len(_memo) <= k:
-            _memo = _bernoulli_prefix(max(k, 2 * len(_memo)))
+            _memo = _bernoulli_prefix(max(k, 2 * min(_built, len(_memo))))
+            _built = len(_memo)
         return _memo[k]
 
 

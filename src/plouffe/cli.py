@@ -26,10 +26,10 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, bernoulli, memo_preload, memo_snapshot, triple_for
-from .identities import verify_all
-from .precision import GUARD, PrecisionReal, agreement_digits, format_rational, pi_const
+from .identities import target_term, term_values, verify_all
+from .precision import GUARD, PrecisionReal, agreement_digits, format_rational
 from .relations import MAX_COEFF, RelationNotFoundError, min_digits_for, rediscover_triple
-from .series import apery_zeta3, eval_pi_power, eval_zeta_odd, zeta_reference
+from .series import eval_pi_power, eval_zeta_odd
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
 
@@ -129,15 +129,6 @@ def _cmd_coeffs(args):
     return 0
 
 
-def _eval_oracle(target, exponent, digits):
-    """Independent value for --check: a pi power, or an eta-series zeta."""
-    if target is Target.PI_POWER:
-        return PrecisionReal(pi_const(digits + 2 * exponent).mpf ** exponent, digits)
-    if exponent == 3:
-        return apery_zeta3(digits)
-    return zeta_reference(exponent, digits)
-
-
 def _cmd_eval(args):
     target = Target(args.target)
     if target is Target.PI_POWER:
@@ -148,8 +139,8 @@ def _cmd_eval(args):
     result = {"value": text}
     lines = [text]
     if args.check:
-        with mp.workdps(args.digits + GUARD + 2 * args.exponent + 10):
-            oracle = _eval_oracle(target, args.exponent, args.digits + 10)
+        term = target_term(target, args.exponent)
+        oracle = PrecisionReal(term_values([term], args.digits + GUARD)[term], args.digits)
         agree = min(agreement_digits(value, oracle), args.digits)
         result["oracle_agreement_digits"] = agree
         lines.append(f"agrees with oracle to >={agree} digits")
@@ -177,9 +168,7 @@ def _cmd_discover(args):
               file=sys.stderr)
         return 1
     result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits)
-    v0 = result.vector[0]
-    scaled = [Fraction(v, -v0) for v in result.vector]
-    vector_text = "[" + ", ".join(format_rational(q) for q in scaled) + "]"
+    vector_text = "[" + ", ".join(format_rational(q) for q in (-1, *triple.coefficients())) + "]"
     formula = _formula(triple)
     record = OutputRecord(
         "discover", {"target": args.target, "exponent": args.exponent},

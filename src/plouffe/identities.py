@@ -228,11 +228,16 @@ def ts_identity_residual(n, rate, digits):
     return _run([_ts_identity(n, rate)], digits)[0]
 
 
+def target_term(target, exponent):
+    """The oracle term for pi**exponent or zeta(exponent)."""
+    return ("pi" if Target(target) is Target.PI_POWER else "zeta", exponent)
+
+
 def _triple(target, exponent):
     triple = triple_for(target, exponent)
-    oracle = ("pi" if triple.target is Target.PI_POWER else "zeta", exponent)
     return "triple", {"target": triple.target.value, "exponent": exponent}, [
-        (1, series_term(exponent, 1, weights=zip((1, 2, 4), triple.coefficients()))), (-1, oracle)]
+        (1, series_term(exponent, 1, weights=zip((1, 2, 4), triple.coefficients()))),
+        (-1, target_term(triple.target, exponent))]
 
 
 def triple_residual(target, exponent, digits):

@@ -4,7 +4,8 @@ triples from raw high-precision values.
 The implementation follows the standard one-level PSLQ formulation
 (lower-trapezoidal H matrix, gamma = sqrt(4/3) row selection, Hermite
 reduction) with mpf arithmetic for y/H and exact Python integers for the
-A/B bookkeeping matrices, so a detected relation vector is exact.  While
+B matrix, whose columns are the candidate relations, so a detected relation
+vector is exact.  While
 running, 1/max|H_jj| is a lower bound on the Euclidean norm of any
 relation, which is what a found = False result reports as the exclusion
 bound.
@@ -17,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, CoefficientTriple, triple_for
-from .identities import places, series_term, term_values
+from .identities import places, series_term, target_term, term_values
 from .precision import GUARD, PrecisionReal, to_mpf
 
 MAX_COEFF = 10 ** 9  # the largest relation coefficient searched for
@@ -90,7 +91,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         s = [mp.sqrt(mp.fsum(x[j] * x[j] for j in range(k, n))) for k in range(n)]
         y = [v / s[0] for v in x]
         s = [v / s[0] for v in s]
-        A = [[int(i == j) for j in range(n)] for i in range(n)]
         B = [[int(i == j) for j in range(n)] for i in range(n)]
         H = [[mp.mpf(0)] * (n - 1) for _ in range(n)]
         for i in range(n):
@@ -110,7 +110,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 for k in range(j + 1):
                     H[i][k] -= t * H[j][k]
                 for k in range(n):
-                    A[i][k] -= t * A[j][k]
                     B[k][j] += t * B[k][i]
 
         for i in range(1, n):
@@ -141,7 +140,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 if weighted > best:
                     best, m = weighted, i
             y[m], y[m + 1] = y[m + 1], y[m]
-            A[m], A[m + 1] = A[m + 1], A[m]
             H[m], H[m + 1] = H[m + 1], H[m]
             for k in range(n):
                 B[k][m], B[k][m + 1] = B[k][m + 1], B[k][m]
@@ -175,8 +173,7 @@ def rediscover_triple(target, exponent, digits):
     target = Target(target)
     expected = triple_for(target, exponent)  # validates target/exponent
 
-    lead = ("pi" if target is Target.PI_POWER else "zeta", exponent)
-    terms = [lead] + [series_term(exponent, r) for r in (1, 2, 4)]
+    terms = [target_term(target, exponent)] + [series_term(exponent, r) for r in (1, 2, 4)]
     # a relation with coefficients up to the bound must vanish to digits + GUARD places
     accuracy = places(digits + GUARD, len(terms) * MAX_COEFF)
     values = list(term_values(terms, accuracy).values())

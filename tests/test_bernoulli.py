@@ -125,6 +125,21 @@ def test_rising_requests_build_the_prefix_log_times(monkeypatch):
     assert bernoulli(top) == bernfrac(top)
 
 
+def test_a_miss_past_a_preloaded_prefix_builds_only_what_it_needs(monkeypatch):
+    # a fresh process that loaded B_0..B_500 from a cache, then needs B_502
+    fresh_memo(monkeypatch)
+    monkeypatch.setattr(bernoulli_module, "_built", 0)
+    assert memo_preload(bernoulli_module._bernoulli_prefix(500))
+    builds = []
+    build = bernoulli_module._bernoulli_prefix
+    monkeypatch.setattr(bernoulli_module, "_bernoulli_prefix",
+                        lambda n: builds.append(n) or build(n))
+    assert bernoulli(502) == bernfrac(502)
+    assert builds == [502]  # not 2 * 501: loaded entries do not count toward the doubling
+    bernoulli(503)
+    assert builds == [502, 1006]  # the prefix it built itself does
+
+
 def test_threads_share_the_memo_safely(monkeypatch):
     fresh_memo(monkeypatch)
     expected = [bernfrac(k) for k in range(401)]

@@ -20,6 +20,7 @@ from plouffe.precision import agreement_digits, pi_const, to_mpf
 from plouffe.series import (
     SeriesSpec,
     _s_raw,
+    _zeta_ref_raw,
     apery_zeta3,
     eval_pi_power,
     eval_zeta_odd,
@@ -234,6 +235,32 @@ def test_zeta_reference_even_values():
         pi = +mp.pi
         assert abs(z2.mpf - pi ** 2 / 6) < mp.mpf(10) ** -45
         assert abs(z4.mpf - pi ** 4 / 90) < mp.mpf(10) ** -45
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(2, 41), digits=st.integers(1, 600))
+def test_eta_oracle_matches_mpmath_zeta(s, digits):
+    value = _zeta_ref_raw(s, digits)
+    with mp.workdps(digits + 30):
+        assert abs(value - mp.zeta(s)) < mp.mpf(10) ** -digits
+
+
+def test_eta_oracle_ignores_the_ambient_precision():
+    with mp.workdps(15):
+        coarse = _zeta_ref_raw(7, 300)
+    with mp.workdps(3000):
+        fine = _zeta_ref_raw(7, 300)
+    assert coarse._mpf_ == fine._mpf_
+
+
+@settings(max_examples=30, deadline=None)
+@given(target=st.sampled_from(Target), half=st.integers(0, 20), digits=st.integers(1, 600))
+def test_eval_agrees_with_itself_at_40_more_digits(target, half, digits):
+    exponent = 2 * half + 1 if target is Target.PI_POWER else 2 * max(half, 1) + 1
+    evaluate = eval_pi_power if target is Target.PI_POWER else eval_zeta_odd
+    coarse, fine = evaluate(exponent, digits), evaluate(exponent, digits + 40)
+    with mp.workdps(digits + 80):
+        assert abs(coarse.mpf - fine.mpf) < mp.mpf(10) ** -digits
 
 
 def test_zeta_reference_domain():
