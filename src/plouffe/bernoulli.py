@@ -13,9 +13,10 @@ Bernoulli numbers come from the tangent numbers T_k (tan x = sum T_k
 x^(2k-1)/(2k-1)!), computed in place on Python integers by the algorithm
 of Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
 numbers" (arXiv:1108.0286), so no gcd is taken until each B_2k is formed.
-The memo holds a dense prefix B_0..B_N and grows geometrically, so rising
-requests rebuild it only O(log N) times.  The coefficient sums F, G and H
-are each computed once per process.
+The memo holds a dense prefix B_0..B_N and grows in place: the recurrence
+runs column by column and keeps its last column, so a miss appends only the
+entries past the memo's end and each T_k is computed once per process.  The
+coefficient sums F, G and H are each computed once per process.
 """
 
 import threading
@@ -32,55 +33,53 @@ class Target(Enum):
 
 
 # B_0 = 1 is forced by the generating function x/(e^x - 1) and by every
-# derived coefficient below.  Writers rebind _memo to a longer list with the
-# same prefix under _memo_lock, so a reader holding the old list stays right.
+# derived coefficient below.  Writers append under _memo_lock, so a reader
+# that sees k < len(_memo) reads a finished entry.
 _memo = [Fraction(1), Fraction(-1, 2)]
 _memo_lock = threading.Lock()
-_built = 0  # the longest prefix this process built; preloaded entries do not count
+# The last column of the tangent-number recurrence, the memo's only other
+# state: after column j, _column[k-1] holds t(k, j) for k = 1..j, and T_j is last.
+_column = []
 
 
-def _bernoulli_prefix(n):
-    """B_0..B_n as a new list, from the tangent numbers T_1..T_(n//2)."""
-    half = n // 2
-    # Brent & Harvey, Algorithm TangentNumbers: start from T_j = (j-1)!, then
-    # for k = 2..half sweep T_j <- (j-k) T_(j-1) + (j-k+2) T_j for j = k..half,
-    # in place (T_(j-1) is the value just updated); t[j-1] holds T_j.
-    t = [1] * half
-    for j in range(1, half):
-        t[j] = j * t[j - 1]
-    for k in range(2, half + 1):
-        previous = 0
-        for d, i in enumerate(range(k - 1, half)):  # d = j - k, i = j - 1
-            previous = t[i] = d * previous + (d + 2) * t[i]
-    values = [Fraction(1), Fraction(-1, 2)]
-    zero = Fraction(0)
-    power = 1  # 4^k
-    for k, tk in enumerate(t, start=1):
-        power *= 4
-        # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
-        numerator = 2 * k * tk
-        values += [Fraction(numerator if k % 2 else -numerator, power * (power - 1)), zero]
-    del values[n + 1:]
-    return values
+def _tangent_column():
+    """Run the next column j of the tangent-number recurrence in place.
+
+    Brent & Harvey, Algorithm TangentNumbers, with its two loops swapped: the
+    value t(k, j) of T_j after sweep k is (j-k) t(k, j-1) + (j-k+2) t(k-1, j),
+    from t(1, j) = (j-1)!, and T_j = t(j, j).  So column j needs only column
+    j-1, and each entry costs the same one multiply-add as in the row order.
+    """
+    j = len(_column) + 1
+    previous = 0  # t(k-1, j)
+    for i, d in enumerate(range(j - 1, 0, -1)):  # i = k - 1, d = j - k
+        previous = _column[i] = d * _column[i] + (d + 2) * previous
+    _column.append(2 * previous or 1)  # t(j, j) = 2 t(j-1, j); T_1 = 1 starts it
 
 
 def bernoulli(k):
     """Exact k-th Bernoulli number (B_0 = 1, B_1 = -1/2), memoized.
 
-    A miss rebuilds B_0..B_N from tangent numbers (Brent & Harvey), N = max(k,
-    2 * the longest prefix this process built, capped at the memo length), so
-    the memo can outrun k, but a miss just past a preloaded cache builds to k.
+    A miss appends B_n for n = len(memo)..k: zero at odd n, and at even
+    n = 2j, B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), with the tangent
+    recurrence run on to column j from the column this process last reached.
     """
-    global _memo, _built
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
     memo = _memo
     if k < len(memo):
         return memo[k]
     with _memo_lock:
-        if len(_memo) <= k:
-            _memo = _bernoulli_prefix(max(k, 2 * min(_built, len(_memo))))
-            _built = len(_memo)
+        while len(_memo) <= k:
+            j, odd = divmod(len(_memo), 2)
+            if odd:
+                _memo.append(Fraction(0))
+                continue
+            while len(_column) < j:
+                _tangent_column()
+            power = 1 << 2 * j  # 4^j
+            numerator = 2 * j * _column[-1]
+            _memo.append(Fraction(numerator if j % 2 else -numerator, power * (power - 1)))
         return _memo[k]
 
 
@@ -91,12 +90,12 @@ def memo_snapshot():
 
 
 def memo_preload(values):
-    """Seed the memo with a dense prefix B_0..B_N (e.g. from a cache file).
+    """Seed the memo with a dense prefix B_0..B_N (e.g. from a cache file);
+    the entries past the memo's end are appended.
 
     Entries failing cheap sanity checks are rejected wholesale; the numbers
     are then simply recomputed on demand.  Returns True when accepted.
     """
-    global _memo
     values = [Fraction(v) for v in values]
     if len(values) < 2 or values[0] != 1 or values[1] != Fraction(-1, 2):
         return False
@@ -122,24 +121,27 @@ def memo_preload(values):
     if total:
         return False
     with _memo_lock:
-        if len(values) > len(_memo):
-            _memo = values
+        _memo.extend(values[len(_memo):])
     return True
 
 
 # Each sum below is taken over binomial weights C(top, i) = top! / (i! (top-i)!)
 # and divided by top! once, which keeps the factorials out of every partial sum.
 
+def _pair_sum(top, step, ratio):
+    """sum_k ratio^k C(top, step k) B_(step k) B_(top - step k) / top!, over step k <= top."""
+    return sum(
+        ratio ** k * comb(top, step * k) * bernoulli(step * k) * bernoulli(top - step * k)
+        for k in range(top // step + 1)
+    ) / factorial(top)
+
+
 @cache
 def f_sum(n):
     """F_n, the alternating double-Bernoulli sum over index pairs (2k, 2n+2-2k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    top = 2 * n + 2
-    return sum(
-        (-1) ** k * comb(top, 2 * k) * bernoulli(2 * k) * bernoulli(top - 2 * k)
-        for k in range(n + 2)
-    ) / factorial(top)
+    return _pair_sum(2 * n + 2, 2, -1)
 
 
 @cache
@@ -147,11 +149,7 @@ def g_sum(n):
     """G_n, the (-4)^k-weighted double-Bernoulli sum."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    top = 2 * n + 2
-    return sum(
-        (-4) ** k * comb(top, 2 * k) * bernoulli(2 * k) * bernoulli(top - 2 * k)
-        for k in range(n + 2)
-    ) / factorial(top)
+    return _pair_sum(2 * n + 2, 2, -4)
 
 
 @cache
@@ -159,11 +157,7 @@ def h_sum(m):
     """H_m, the (-4)^(m+k)-weighted sum over index pairs (4k, 4m+2-4k)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    top = 4 * m + 2
-    return sum(
-        (-4) ** (m + k) * comb(top, 4 * k) * bernoulli(4 * k) * bernoulli(top - 4 * k)
-        for k in range(m + 1)
-    ) / factorial(top)
+    return (-4) ** m * _pair_sum(4 * m + 2, 4, -4)
 
 
 def d_coeff(m):

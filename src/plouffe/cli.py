@@ -268,8 +268,7 @@ def build_parser():
             p.add_argument("--format", choices=formats, default="plain")
         if digits:
             p.add_argument("--digits", type=_positive_int, default=DEFAULT_DIGITS,
-                           help=f"requested decimal precision (default {DEFAULT_DIGITS}); "
-                                f"discovery needs at least {min_digits_for(4, MAX_COEFF)}")
+                           help=f"requested decimal precision (default {DEFAULT_DIGITS})")
         if max_m:
             p.add_argument("--max-m", dest="max_m", type=_positive_int, default=1)
         if check:
@@ -292,7 +291,9 @@ def build_parser():
     add_common(p, digits=True, max_m=True)
     p.set_defaults(handler=_cmd_verify, format="json")
 
-    p = sub.add_parser("discover", help="rediscover a coefficient triple with PSLQ")
+    p = sub.add_parser("discover", help="rediscover a coefficient triple with PSLQ",
+                       description="Rediscover a coefficient triple with PSLQ; discovery "
+                                   f"needs --digits of at least {min_digits_for(4, MAX_COEFF)}.")
     p.add_argument("target", choices=["pi", "zeta"])
     p.add_argument("exponent", type=int)
     add_common(p, formats=("json", "plain"), digits=True)

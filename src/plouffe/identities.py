@@ -14,8 +14,8 @@ rounded before :func:`_run` fixes the precision with the one rule in
 Every zeta value comes from the independent alternating-eta oracle, never
 from the three-series assembly, so a passing residual is evidence and not
 circularity.  A report passes when the absolute residual is below
-10**-(digits - SLACK): ten digits of headroom absorb rounding drift across
-the ~10^3 high-precision operations in the larger checks.
+10**-digits, the contract every value is computed to; the residual itself is
+accurate to 10**-(digits + GUARD).
 """
 
 import math
@@ -27,8 +27,6 @@ import mpmath as mp
 from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
 from .precision import GUARD, PrecisionReal, to_mpf
 from .series import _s_raw, _zeta_ref_raw
-
-SLACK = 10
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def _run(checks, digits):
     accuracy = max(places(digits + GUARD, len(form) * max(abs(_mpf(c)) for c, _ in form))
                    for form in forms)
     values = term_values(dict.fromkeys(term for form in forms for _, term in form), accuracy)
-    threshold = mp.mpf(10) ** (SLACK - digits)
+    threshold = mp.mpf(10) ** -digits
     reports = []
     for identity, parameters, form in checks:
         with mp.workdps(places(accuracy, max(abs(_mpf(c) * values[t]) for c, t in form)) + 10):

@@ -125,38 +125,38 @@ def eval_pi_power(exponent, digits):
 
 def eval_zeta_odd(exponent, digits):
     """zeta(exponent) for odd exponent >= 3, assembled from its triple."""
-    if exponent == 1:
-        raise ValueError("zeta(1) diverges")
     return _assemble(triple_for(Target.ZETA_VALUE, exponent), digits)
 
 
 def _apery_raw(target_digits):
-    """zeta(3) via the accelerated central-binomial series, raw mpf.
+    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 C(2n, n)) as an exact mpf
+    with absolute error below 10**-target_digits, summed in integers scaled
+    by 2^prec, so the ambient mpmath precision plays no part.  Shares no code
+    with the Lambert-series evaluators above.
 
-    Terms gain ~log10(4) digits each; the alternating tail is bounded by
-    the first omitted term, which is the stopping rule.
+    Term n+1 is term n times n^3 / (2 (n+1)^2 (2n+1)) < 1/4: one small
+    multiply and one floor, so each term is off by under 4/3 units of
+    2^-prec.  The loop stops at the first term that floors to zero, whose
+    true value bounds the alternating tail by 4/3 units.  With N <= prec/2 + 2
+    terms, the sum is off by under 4N/3 units and zeta(3), after the factor
+    5/2 and its floor, by under 4N <= 2 prec + 8 units: below 10**-D for
+    D = target_digits, bits = ceil(D log2 10), prec = bits + bit_length(bits) + 4.
     """
-    threshold = mp.mpf(10) ** (-(target_digits + 2))
-    binom = 2  # C(2n, n) at n = 1, updated with an exact integer recurrence
-    total = mp.mpf(0)
-    n = 1
-    while True:
-        term = mp.mpf(1) / (n ** 3 * binom)
-        if term < threshold:
-            break
-        total += term if n % 2 == 1 else -term
-        binom = binom * 2 * (2 * n + 1) // (n + 1)
+    bits = math.ceil(target_digits * math.log2(10))
+    prec = bits + bits.bit_length() + 4
+    term, total, n = 1 << (prec - 1), 0, 1  # 1 / (1^3 C(2, 1))
+    while term:
+        total += term if n % 2 else -term
+        term = term * n ** 3 // (2 * (n + 1) ** 2 * (2 * n + 1))
         n += 1
-    return mp.mpf(5) / 2 * total
+    return mp.make_mpf(mp.libmp.from_man_exp(5 * total >> 1, -prec))
 
 
 def apery_zeta3(digits):
     """zeta(3) through the accelerated series, to the precision contract."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + GUARD + 5):
-        value = _apery_raw(digits + GUARD)
-    return PrecisionReal(value, digits)
+    return PrecisionReal(_apery_raw(digits + GUARD), digits)
 
 
 def _zeta_ref_raw(s, target_digits):

@@ -63,6 +63,16 @@ bernoulli_module = importlib.import_module("plouffe.bernoulli")
 def fresh_memo(monkeypatch):
     """Give the module the memo it starts with; the old one returns after the test."""
     monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
+
+
+def counted_columns(monkeypatch):
+    """The index j of each tangent-number column the memo runs from now on, in order."""
+    steps = []
+    step = bernoulli_module._tangent_column
+    monkeypatch.setattr(bernoulli_module, "_tangent_column",
+                        lambda: steps.append(len(bernoulli_module._column) + 1) or step())
+    return steps
 
 
 def bernfrac(k):
@@ -111,46 +121,51 @@ def test_bernoulli_extends_a_preloaded_prefix(monkeypatch):
     assert snapshot[300] == bernfrac(300)
 
 
-def test_rising_requests_build_the_prefix_log_times(monkeypatch):
+def test_rising_requests_run_each_column_once(monkeypatch):
     fresh_memo(monkeypatch)
-    builds = []
-    build = bernoulli_module._bernoulli_prefix
-    monkeypatch.setattr(bernoulli_module, "_bernoulli_prefix",
-                        lambda n: builds.append(n) or build(n))
+    steps = counted_columns(monkeypatch)
     top = 600
     for k in range(top + 1):
         bernoulli(k)
-    assert len(builds) <= math.ceil(math.log2(top))
-    assert all(later >= 2 * earlier for earlier, later in zip(builds, builds[1:]))
+    assert steps == list(range(1, top // 2 + 1))
     assert bernoulli(top) == bernfrac(top)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 101, 600])
+def test_a_miss_on_a_fresh_memo_leaves_exactly_b0_to_bk(monkeypatch, k):
+    fresh_memo(monkeypatch)
+    steps = counted_columns(monkeypatch)
+    bernoulli(k)
+    assert steps == list(range(1, k // 2 + 1))
+    assert memo_snapshot() == [bernfrac(i) for i in range(k + 1)]
 
 
 def test_a_miss_past_a_preloaded_prefix_builds_only_what_it_needs(monkeypatch):
     # a fresh process that loaded B_0..B_500 from a cache, then needs B_502
     fresh_memo(monkeypatch)
-    monkeypatch.setattr(bernoulli_module, "_built", 0)
-    assert memo_preload(bernoulli_module._bernoulli_prefix(500))
-    builds = []
-    build = bernoulli_module._bernoulli_prefix
-    monkeypatch.setattr(bernoulli_module, "_bernoulli_prefix",
-                        lambda n: builds.append(n) or build(n))
+    assert memo_preload([bernfrac(k) for k in range(501)])
+    steps = counted_columns(monkeypatch)
     assert bernoulli(502) == bernfrac(502)
-    assert builds == [502]  # not 2 * 501: loaded entries do not count toward the doubling
-    bernoulli(503)
-    assert builds == [502, 1006]  # the prefix it built itself does
+    assert steps == list(range(1, 252))  # a cache file holds no column to resume from
+    assert len(memo_snapshot()) == 503
+    assert bernoulli(504) == bernfrac(504)
+    assert steps == list(range(1, 253))  # one more column, and no rebuild
 
 
 def test_threads_share_the_memo_safely(monkeypatch):
     fresh_memo(monkeypatch)
     expected = [bernfrac(k) for k in range(401)]
-    wrong = []
+    wrong, errors = [], []
 
     def worker(seed):
-        rng = random.Random(seed)
-        for _ in range(300):
-            k = rng.randrange(len(expected))
-            if bernoulli(k) != expected[k]:
-                wrong.append(k)
+        try:
+            rng = random.Random(seed)
+            for _ in range(300):
+                k = rng.randrange(len(expected))
+                if bernoulli(k) != expected[k]:
+                    wrong.append(k)
+        except Exception as exc:  # uncaught, it would surface only as a warning
+            errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -163,6 +178,7 @@ def test_threads_share_the_memo_safely(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
     assert wrong == []
     assert memo_snapshot()[:len(expected)] == expected
 

@@ -227,6 +227,7 @@ def test_corrupt_cache_is_ignored(tmp_path, capsys):
 def test_cache_with_a_wrong_value_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch):
     # a well-formed file whose B_4 has the wrong denominator must not be served
     monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
     cache = tmp_path / "wrong.cache"
     cache.write_text("0 1\n1 -1/2\n2 1/6\n3 0\n4 -1/31\n")
     code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))
@@ -241,6 +242,7 @@ def test_cache_with_a_wrong_value_is_rejected_and_rewritten(tmp_path, capsys, mo
 def test_cache_with_a_wrong_numerator_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch):
     # B_4 = -7/30 has the right sign and denominator; only the recurrence exposes it
     monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
     cache = tmp_path / "wrong.cache"
     cache.write_text("0 1\n1 -1/2\n2 1/6\n3 0\n4 -7/30\n")
     code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))

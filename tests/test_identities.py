@@ -177,3 +177,14 @@ def test_every_coefficient_of_every_identity_matters():
     assert all(r.passed for r in identities._run(checks, 60))
     passed = [r.passed for r in identities._run(variants, 60)]
     assert len(passed) == len(variants) and not any(passed)
+
+
+@pytest.mark.parametrize("digits", [5, 30])
+def test_a_residual_above_ten_to_the_minus_digits_fails(digits):
+    # the pass rule is the precision contract itself, with no digits of slack
+    identity, params, form = identities._ts_identity(3, 2)
+    off = form + [(Fraction(1, 10 ** (digits - 5)), ("pi", 0))]  # plus the constant 10**-(digits-5)
+    true_report, off_report = identities._run(
+        [(identity, params, form), (identity, params, off)], digits)
+    assert true_report.passed
+    assert not off_report.passed

@@ -19,6 +19,7 @@ from plouffe.bernoulli import Target, triple_for
 from plouffe.precision import agreement_digits, pi_const, to_mpf
 from plouffe.series import (
     SeriesSpec,
+    _apery_raw,
     _s_raw,
     _zeta_ref_raw,
     apery_zeta3,
@@ -226,6 +227,22 @@ def test_apery_partial_sums_alternate_around_limit():
 
 def test_apery_agrees_with_eta_oracle():
     assert agreement_digits(apery_zeta3(100), zeta_reference(3, 110)) >= 95
+
+
+@settings(max_examples=40, deadline=None)
+@given(digits=st.integers(1, 600))
+def test_apery_oracle_matches_mpmath_zeta(digits):
+    value = _apery_raw(digits)
+    with mp.workdps(digits + 30):
+        assert abs(value - mp.zeta(3)) < mp.mpf(10) ** -digits
+
+
+def test_apery_oracle_ignores_the_ambient_precision():
+    with mp.workdps(15):
+        coarse = _apery_raw(100)
+    with mp.workdps(3000):
+        fine = _apery_raw(100)
+    assert coarse._mpf_ == fine._mpf_
 
 
 def test_zeta_reference_even_values():
