@@ -28,7 +28,7 @@ import mpmath as mp
 from .bernoulli import Target, bernoulli, memo_preload, memo_snapshot, triple_for
 from .identities import target_term, term_values, verify_all
 from .precision import GUARD, PrecisionReal, agreement_digits, format_rational
-from .relations import MAX_COEFF, RelationNotFoundError, min_digits_for, rediscover_triple
+from .relations import RelationNotFoundError, rediscover_triple
 from .series import eval_pi_power, eval_zeta_odd
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
@@ -161,12 +161,6 @@ def _cmd_verify(args):
 
 
 def _cmd_discover(args):
-    minimum = min_digits_for(4, MAX_COEFF)
-    if args.digits < minimum:
-        print(f"insufficient precision: {args.digits} digits is below the detectability "
-              f"threshold of {minimum} for coefficients up to {MAX_COEFF:.0e}",
-              file=sys.stderr)
-        return 1
     result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits)
     vector_text = "[" + ", ".join(format_rational(q) for q in (-1, *triple.coefficients())) + "]"
     formula = _formula(triple)
@@ -223,7 +217,7 @@ def _load_cache(path):
             if entries and sorted(entries) == list(range(len(entries))):
                 if memo_preload([entries[i] for i in range(len(entries))]):
                     return len(entries)
-        except (OSError, ValueError):
+        except (OSError, ValueError, ZeroDivisionError):
             pass  # unreadable caches are ignored, never fatal
     return 0
 
@@ -291,9 +285,7 @@ def build_parser():
     add_common(p, digits=True, max_m=True)
     p.set_defaults(handler=_cmd_verify, format="json")
 
-    p = sub.add_parser("discover", help="rediscover a coefficient triple with PSLQ",
-                       description="Rediscover a coefficient triple with PSLQ; discovery "
-                                   f"needs --digits of at least {min_digits_for(4, MAX_COEFF)}.")
+    p = sub.add_parser("discover", help="rediscover a coefficient triple with PSLQ")
     p.add_argument("target", choices=["pi", "zeta"])
     p.add_argument("exponent", type=int)
     add_common(p, formats=("json", "plain"), digits=True)

@@ -5,10 +5,10 @@ The implementation follows the standard one-level PSLQ formulation
 (lower-trapezoidal H matrix, gamma = sqrt(4/3) row selection, Hermite
 reduction) with mpf arithmetic for y/H and exact Python integers for the
 B matrix, whose columns are the candidate relations, so a detected relation
-vector is exact.  While
-running, 1/max|H_jj| is a lower bound on the Euclidean norm of any
-relation, which is what a found = False result reports as the exclusion
-bound.
+vector is exact.  While running, 1/max|H_jj| is a lower bound on the
+Euclidean norm of any relation, which is what a found = False result
+reports as the exclusion bound.  A candidate is a relation only at the
+precision its size needs (`min_digits_for`); each result says why it stopped.
 """
 
 import math
@@ -36,25 +36,18 @@ class RelationResult:
     iterations: int
     found: bool
     norm_bound: float
+    stop: str  # "found", "insufficient precision", "norm bound" or "iteration cap"
 
 
 def _canonical(vector):
     """gcd 1 and first nonzero entry positive (PSLQ's sign is arbitrary)."""
-    g = 0
-    for v in vector:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        vector = [v // g for v in vector]
-    for v in vector:
-        if v:
-            if v < 0:
-                vector = [-v for v in vector]
-            break
-    return tuple(vector)
+    g = math.gcd(*vector) * (1 if next(v for v in vector if v) > 0 else -1)
+    return tuple(v // g for v in vector)
 
 
 def min_digits_for(n_values, max_coeff_bound):
-    """Detectability rule of thumb: D > n * log10(bound) + 15."""
+    """pslq's acceptance rule: a relation among n values with coefficients up
+    to the bound needs D >= n * log10(bound) + 15 (Ferguson, Bailey & Arno 1999)."""
     return math.ceil(n_values * math.log10(max_coeff_bound)) + 15
 
 
@@ -64,9 +57,13 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     Returns a RelationResult: a canonical-form relation when one is found
     within the coefficient bound, otherwise found = False together with a
     lower bound on the norm of any relation that could still exist.
-    Termination: min |y_i| < 10**-(digits-10), tested before every iteration
-    (the initial reduction can already expose a relation), MAX_ITERATIONS,
-    or the norm bound exceeding the coefficient bound, which may be any int.
+    Termination, named by the result's `stop`: once min |y_i| <
+    10**-(digits-10) (tested before every iteration, since the initial
+    reduction can already expose a relation), the candidate v is "found" if
+    max|v| is within the bound, `min_digits_for(n, max|v|) <= digits` and v
+    verifies; otherwise, as on a vanishing rotation, "insufficient precision".
+    The search also ends when the norm bound passes the coefficient bound
+    (any int), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
     """
     n = len(values)
     if n < 2:
@@ -81,7 +78,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 unit = [0] * n
                 unit[idx] = 1
                 return RelationResult(_canonical(unit), PrecisionReal(mp.mpf(0), digits),
-                                      0, True, 1.0)
+                                      0, True, 1.0, "found")
 
         tol = mp.mpf(10) ** (-(digits - 10))
         gamma = mp.sqrt(mp.mpf(4) / 3)
@@ -117,6 +114,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
 
         best_bound = 0.0
         iterations = 0
+        stop = "insufficient precision"  # unless a break below says otherwise
         while True:
             y_min, idx = min((abs(v), i) for i, v in enumerate(y))
             if y_min < tol:
@@ -124,15 +122,20 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 with mp.workdps(digits + GUARD + 30):  # re-evaluated 30 places finer
                     residual = abs(mp.fsum(v * x for v, x in zip(vector, xs)))
                 scale = max(abs(v) for v in xs)
-                ok = (max(abs(v) for v in vector) <= max_coeff_bound
+                largest = max(abs(v) for v in vector)
+                ok = (largest <= max_coeff_bound and min_digits_for(n, largest) <= digits
                       and residual < mp.mpf(10) ** (-(digits - 15)) * scale)
                 if ok:
                     return RelationResult(vector, PrecisionReal(residual, digits),
-                                          iterations, True, best_bound)
+                                          iterations, True, best_bound, "found")
                 break  # numerically spent: the candidate does not verify
             # float against int, so the bound may lie past the float range
-            if best_bound / math.sqrt(n) > max_coeff_bound or iterations == MAX_ITERATIONS:
-                break  # no relation within the coefficient bound exists, or the cap is hit
+            if best_bound / math.sqrt(n) > max_coeff_bound:
+                stop = "norm bound"  # no relation within the coefficient bound exists
+                break
+            if iterations == MAX_ITERATIONS:
+                stop = "iteration cap"
+                break
             iterations += 1
             m, best = 0, mp.mpf(-1)
             for i in range(n - 1):
@@ -160,7 +163,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 best_bound = max(best_bound, float(1 / h_max))
 
         return RelationResult((), PrecisionReal(mp.mpf(1), digits),
-                              iterations, False, best_bound)
+                              iterations, False, best_bound, stop)
 
 
 def rediscover_triple(target, exponent, digits):
@@ -180,9 +183,13 @@ def rediscover_triple(target, exponent, digits):
 
     result = pslq(values, digits)
     if not result.found:
+        why = result.stop
+        if why == "norm bound":
+            why = (f"any relation has norm above {result.norm_bound:.3g}, so a coefficient "
+                   f"above the {MAX_COEFF:.0e} coefficient bound")
         raise RelationNotFoundError(
             f"no relation found for {target.value} exponent {exponent} at {digits} digits "
-            f"(insufficient precision or coefficient bound)")
+            f"after {result.iterations} iterations ({why})")
     v0 = result.vector[0]
     if v0 == 0:
         raise RelationNotFoundError(

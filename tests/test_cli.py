@@ -14,7 +14,7 @@ import jsonschema
 import mpmath as mp
 import pytest
 
-from plouffe.bernoulli import triple_for
+from plouffe.bernoulli import Target, triple_for
 from plouffe.cli import build_parser, main
 from plouffe.precision import decimal_string, pi_const
 
@@ -157,6 +157,31 @@ def test_discover_insufficient_precision(capsys):
     assert "insufficient precision" in err
 
 
+@pytest.mark.parametrize("target, exponent, vector", [("pi", 1, "[-1, 72, -96, 24]"),
+                                                       ("zeta", 3, "[-1, 28, -37, 7]")])
+def test_discover_at_30_digits(capsys, target, exponent, vector):
+    code, out, _ = run_cli(capsys, "discover", target, str(exponent), "--digits", "30")
+    assert code == 0
+    assert out.splitlines()[0] == vector
+
+
+@pytest.mark.parametrize("target, exponent, digits", [("pi", 2, 20), ("zeta", 1, 30),
+                                                      ("pi", -5, 10)])
+def test_discover_rejects_a_target_without_a_triple_at_any_digits(capsys, target, exponent,
+                                                                   digits):
+    with pytest.raises(ValueError) as exc:
+        triple_for(Target(target), exponent)
+    code, out, err = run_cli(capsys, "discover", target, str(exponent), "--digits", str(digits))
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+def test_discover_names_the_coefficient_bound_when_it_stops_there(capsys):
+    # pi^11's relation needs coefficients near 10^11.3, past MAX_COEFF = 10^9
+    code, out, err = run_cli(capsys, "discover", "pi", "11", "--digits", "1000")
+    assert (code, out) == (1, "")
+    assert "1e+09 coefficient bound" in err and re.search(r"after \d+ iterations", err)
+
+
 def test_discover_json_validates(capsys):
     code, out, _ = run_cli(capsys, "discover", "zeta", "7", "--digits", "150",
                            "--format", "json")
@@ -222,6 +247,19 @@ def test_corrupt_cache_is_ignored(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))
     assert code == 0
     assert out.strip() == "-1/30"
+
+
+def test_cache_with_a_zero_denominator_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
+    cache = tmp_path / "zero.cache"
+    cache.write_text("0 1/0\n1 -1/2\n2 1/6\n3 0\n4 -1/30\n")
+    code, out, _ = run_cli(capsys, "bernoulli", "4", "--cache", str(cache))
+    assert (code, out) == (0, "-1/30\n")
+    rows = [line.split() for line in cache.read_text().splitlines()]
+    assert [int(index) for index, _ in rows] == list(range(len(rows)))
+    assert all(Fraction(value) == Fraction(*(int(x) for x in mp.bernfrac(int(index))))
+               for index, value in rows)
 
 
 def test_cache_with_a_wrong_value_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plouffe import relations
 from plouffe.bernoulli import Target, triple_for
 from plouffe.precision import pi_const
 from plouffe.relations import RelationNotFoundError, min_digits_for, pslq, rediscover_triple
@@ -109,6 +110,37 @@ def test_pslq_recovers_planted_relations(data):
     sign = 1 if next(v for v in planted if v) > 0 else -1
     result = pslq(xs, digits, max_coeff_bound=bound)
     assert result.found and result.vector == tuple(sign * v // g for v in planted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), digits=st.integers(5, 80), seed=st.integers(0, 2 ** 64))
+def test_pslq_finds_no_relation_among_random_reals(n, digits, seed):
+    rng = random.Random(seed)
+    bits = 4 * digits + 100
+    with mp.workdps(digits + 40):
+        xs = [mp.mpf(rng.getrandbits(bits)) / 2 ** bits for _ in range(n)]
+    result = pslq(xs, digits)
+    assert not result.found and result.vector == () and result.stop != "found"
+
+
+@pytest.mark.parametrize("digits", [5, 10, 12, 16])
+def test_pslq_reports_no_relation_between_pi_and_e_at_low_precision(digits):
+    # below the digits a relation needs, a small PSLQ candidate such as
+    # (1, -1) or (45, -52) is rounding, not a relation
+    with mp.workdps(100):
+        result = pslq([+mp.pi, +mp.e], digits)
+    assert not result.found and result.stop == "insufficient precision"
+
+
+def test_pslq_names_the_norm_bound_and_the_iteration_cap(monkeypatch):
+    with mp.workdps(100):
+        values = [+mp.pi, +mp.e]
+    result = pslq(values, 50, max_coeff_bound=100)
+    assert (result.found, result.stop) == (False, "norm bound")
+    assert result.norm_bound > 100 * math.sqrt(2)
+    monkeypatch.setattr(relations, "MAX_ITERATIONS", 3)
+    result = pslq(values, 50)
+    assert (result.found, result.stop, result.iterations) == (False, "iteration cap", 3)
 
 
 def test_pslq_zero_entry_gives_unit_relation():
