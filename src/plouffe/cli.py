@@ -317,7 +317,15 @@ def main(argv=None):
     if saved_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: stdout goes to devnull, so the flush at
+        # exit cannot raise again, and the exit code is 1, as on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     finally:
         if saved_limit is not None:
             sys.set_int_max_str_digits(saved_limit)

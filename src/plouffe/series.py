@@ -6,7 +6,10 @@ With q = e^(-pi r), S_n(s r) = sum_k 1/(k^n (e^(pi s r k) - 1)) is the power
 series sum_{s|M} sigma_{-n}(M/s) q^M, sigma_{-n}(m) = sum_{d|m} d^(-n).  So a
 rational combination such as a S_n(1) + b S_n(2) + c S_n(4) is one q-series,
 summed once in fixed-point integers (:func:`_s_raw`) up to a proven tail
-bound (:func:`truncation_index`), with no full-precision division.
+bound (:func:`truncation_index`), with no full-precision division.  Its N
+small rational coefficients make it a polynomial in one fixed q, which
+rectangular splitting evaluates with about 2 sqrt(N) full multiplies and N
+scalar operations, each linear in the working precision.
 
 Oracle independence: :func:`zeta_reference` (accelerated alternating eta
 series) and :func:`apery_zeta3` share no code path with the S/T series or
@@ -68,26 +71,43 @@ def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)
     """sum_s w_s S_n(s r) (T_n with plus_one) for nonzero rational w_s and
     integers s >= 1, as an exact mpf with absolute error below 10**-target_digits.
 
-    In integers scaled by 2^prec, P = q^M 2^prec is updated with q cut to
-    P's own length, so the multiply shrinks as the terms decay, and term M
-    adds (sum_s L w_s s^n sigma_n(M/s)) P // (L M^n), L the common
-    denominator of the w_s.  For T_n, 1/(e^x + 1) = sum_j (-1)^(j-1) e^(-jx)
-    turns sigma_n(m) = sum_{jk=m} j^n into sum_{jk=m} (-1)^(j-1) j^n.
+    The sum is the polynomial sum_{m<=N} a_m q^m with a_m = c_m / (L m^n),
+    c_m = sum_s L w_s s^n sigma_n(m/s) and L the common denominator of the
+    w_s.  For T_n, 1/(e^x + 1) = sum_j (-1)^(j-1) e^(-jx) turns
+    sigma_n(m) = sum_{jk=m} j^n into sum_{jk=m} (-1)^(j-1) j^n.
 
-    Error: the tail is below 10**-(target_digits+1), and so is the rounding:
-    P is off by at most 4/(1-q) units of 2^-prec (one from q, two per step,
-    shrunk by q at each later step), term M's coefficient is below
-    weight (1 + ln M), and each floor adds one unit.
+    Rectangular splitting (Paterson & Stockmeyer 1973; Brent & Zimmermann,
+    Modern Computer Arithmetic, 4.4.3), in integers scaled by 2^prec: with
+    k = isqrt(N), Q_j = q^j 2^prec for j = 0..k, and block i holding the terms
+    m = i k + j, 0 <= j < k, the block sum is sum_j c_m Q_j // (L m^n), and the
+    blocks are combined by Horner in q^k from the last one down.  Block i is
+    later multiplied by q^(ik) = 2^(-ik log2(1/q)), so it is summed with the
+    Q_j cut by cut_i <= ik log2(1/q) bits, as is the q^k of its Horner step.
+    That costs about 2k full multiplies (the Q_j and the Horner steps) and N
+    scalar multiplies and divisions, each linear in prec.
 
-    Memory: a sieve table of terms + 1 divisor sums of about n log2(terms) bits
-    each; peak 0.14 MB for pi at 4000 digits, 3.6 MB for S_5(1/100) at 1000 digits.
+    Error, in units of 2^-prec: the tail is below 10**-(target_digits+1),
+    and so is the rounding.  Q_1 is off by just over one unit, and Q_j, a
+    floored product of Q_(j-1) and Q_1, by under 3j.  |a_m| <= W = w (1 + ln N)
+    with w = ceil(sum |w_s|), so term m is off by under 3k W + 1 units of
+    its block's scale, the floor included.  A Horner step adds one unit plus
+    |total| (3k + 1), where |total| <= (W + k + 1)/(1-q) bounds any partial
+    Horner sum.  Each later step multiplies earlier errors by the cut q^k,
+    which is below q^k, so an error of e units at block i's scale
+    2^(cut_i - prec) ends as under e q^(ik) 2^cut_i <= e units.  Summed over
+    N terms and N/k steps, the rounding stays under 17 N k W / (1-q) units.
+
+    Memory: the k + 1 powers Q_j of up to prec bits each (about 1 MB for pi
+    at 20000 digits) and a sieve table of N + 1 divisor sums of about
+    n log2(N) bits each (3.6 MB for S_5(1/100) at 1000 digits).
     """
     weights = [(s, Fraction(w)) for s, w in weights]
     scale = math.lcm(*(w.denominator for _, w in weights))
     numerators = [(s, int(w * scale) * s ** n) for s, w in weights]
     weight = math.ceil(sum(abs(w) for _, w in weights))  # an int: past the float range for pi^n, n >= 619
     terms = truncation_index(n, r, target_digits + 1, weight) + extra_terms
-    slack = terms * (weight * math.ceil((1 + math.log(terms)) * 4 / -math.expm1(-math.pi * float(r))) + 1)
+    k = math.isqrt(terms)
+    slack = 17 * terms * k * weight * math.ceil((1 + math.log(terms)) / -math.expm1(-math.pi * float(r)))
     prec = math.ceil((target_digits + 1) * math.log2(10) + math.log2(slack))
     with mp.workprec(prec + 20):
         q = int(mp.ldexp(mp.exp(-mp.pi * to_mpf(r)), prec))
@@ -96,12 +116,19 @@ def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)
         power = -(d ** n) if plus_one and d % 2 == 0 else d ** n
         for m in range(d, terms + 1, d):
             sigma[m] += power
-    total, p = 0, 1 << prec
-    for m in range(1, terms + 1):
-        shift = max(0, prec - p.bit_length())
-        p = (p * (q >> shift)) >> (prec - shift)
-        c = sum(v * sigma[m // s] for s, v in numerators if m % s == 0)
-        total += c * p // (scale * m ** n)
+    powers = [1 << prec, q]  # powers[j] = Q_j
+    for _ in range(k - 1):
+        powers.append(powers[-1] * q >> prec)
+    block_bits = k * math.pi * float(r) / math.log(2)  # log2(1/q^k)
+    total, cut_prev = 0, prec
+    for i in range(terms // k, -1, -1):
+        cut = min(prec, max(0, math.floor(i * block_bits) - 1))  # -1: float error in i * block_bits
+        block = 0
+        for m in range(max(1, i * k), min(terms + 1, i * k + k)):
+            c = sum(v * sigma[m // s] for s, v in numerators if m % s == 0)
+            block += c * (powers[m - i * k] >> cut) // (scale * m ** n)
+        total = (total * (powers[k] >> cut) >> (prec - cut_prev)) + block
+        cut_prev = cut
     return mp.make_mpf(mp.libmp.from_man_exp(total, -prec))  # exact, not rounded to the context
 
 

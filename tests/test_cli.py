@@ -364,3 +364,15 @@ def test_byte_identical_stdout_across_runs():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout.strip()) == 301  # 300 significant digits plus the point
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # the reader is gone before the command prints anything, as with `| head -c 10`
+    command = [sys.executable, "-m", "plouffe", "verify", "--max-m", "1", "--digits", "1"]
+    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

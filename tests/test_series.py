@@ -149,6 +149,55 @@ def test_weighted_sum_matches_separate_series():
         assert abs(value - parts) < mp.mpf(10) ** -d
 
 
+def lambert_partial_sum(n, rate, terms, dps, plus_one=False, weights=((1, 1),)):
+    """The q-series of sum_s w_s S_n(s rate) (T_n with plus_one) up to q^terms,
+    summed as the Lambert double sum w_s (+-1) q^(s j d) / d^n, with every
+    power of q its own exponential."""
+    with mp.workdps(dps):
+        powers = [mp.exp(-mp.pi * to_mpf(rate) * m) for m in range(terms + 1)]
+        return mp.fsum(to_mpf(Fraction(w)) * (-1 if plus_one and j % 2 == 0 else 1)
+                       * powers[s * j * d] / d ** n
+                       for s, w in weights
+                       for d in range(1, terms // s + 1)
+                       for j in range(1, terms // (s * d) + 1))
+
+
+EDGE_CASES = (  # n, rate, digits, plus_one, weights, block size k
+    (3, 1, 50, False, ((1, 1),), 5),
+    (1, 1, 50, True, ((1, 1),), 5),
+    (5, 1, 50, False, PI5_WEIGHTS, 5),
+    (5, Fraction(1, 100), 30, False, ((1, 1),), 32),
+    (2, Fraction(1, 100), 30, True, ((1, Fraction(1, 3)), (3, -2)), 32),
+)
+
+
+@pytest.mark.parametrize("n, rate, digits, plus_one, weights, k", EDGE_CASES)
+def test_block_edges_match_lambert_partial_sums(n, rate, digits, plus_one, weights, k):
+    # term counts on each side of a block boundary (k) and of a square (k^2),
+    # where isqrt(terms) and the last block's length change
+    for terms in (1, 2, k - 1, k, k + 1, k * k - 1, k * k, k * k + 1):
+        value = partial_sum(n, rate, terms, digits, plus_one, weights)
+        reference = lambert_partial_sum(n, rate, terms, digits + 20, plus_one, weights)
+        with mp.workdps(digits + 20):
+            assert abs(value - reference) < mp.mpf(10) ** -digits, terms
+
+
+@pytest.mark.parametrize("plus_one", [False, True])
+def test_slow_rate_with_thousands_of_terms(plus_one):
+    # r = 1/100: q = 0.969, 2452 terms in blocks of 49
+    rate = Fraction(1, 100)
+    value = _s_raw(5, rate, 30, plus_one=plus_one)
+    with mp.workdps(60):
+        reference = brute_force_reference(5, to_mpf(rate), 30, plus_one)
+        assert abs(value - reference) < mp.mpf(10) ** -30
+
+
+def test_pi_at_3000_digits_meets_its_guard():
+    value = eval_pi_power(1, 3000)
+    with mp.workdps(3060):
+        assert abs(value.mpf - mp.pi) < mp.mpf(10) ** -3020
+
+
 def brute_force_reference(n, r, digits, plus_one):
     """Brute-force S_n(r) or T_n(r) with its tail below 10**-(digits + 5)."""
     terms = math.ceil((digits + 10) * math.log(10) / (math.pi * float(r))) + 5
