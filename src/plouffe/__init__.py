@@ -15,7 +15,6 @@ from .bernoulli import (
     h_sum,
     k_coeff,
     triple_for,
-    zeta_even_exact,
 )
 from .identities import (
     ResidualReport,
@@ -90,6 +89,5 @@ __all__ = [
     "verify_all",
     "vepstas_residual",
     "zeta_4m1_residual",
-    "zeta_even_exact",
     "zeta_reference",
 ]

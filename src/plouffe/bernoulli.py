@@ -193,7 +193,8 @@ def e_coeff(m):
 
 @dataclass(frozen=True)
 class CoefficientTriple:
-    """Exact rationals (a, b, c) with target = a S_n(1) + b S_n(2) + c S_n(4)."""
+    """Exact rationals (a, b, c) with target = a S_n(1) + b S_n(2) + c S_n(4);
+    :meth:`weights` is the one place that pairs them with the rates 1, 2, 4."""
 
     target: Target
     exponent: int
@@ -203,6 +204,10 @@ class CoefficientTriple:
 
     def coefficients(self):
         return (self.a, self.b, self.c)
+
+    def weights(self):
+        """((rate, coefficient), ...) for the three series S_n(rate)."""
+        return ((1, self.a), (2, self.b), (4, self.c))
 
 
 def _validate_exponent(target, exponent):
@@ -258,9 +263,3 @@ def triple_for(target, exponent):
 
     return CoefficientTriple(target, exponent, a, b, c)
 
-
-def zeta_even_exact(n):
-    """Exact rational q with zeta(2n) = q * pi^(2n) (Euler's formula)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (-1) ** (n + 1) * bernoulli(2 * n) * Fraction(2) ** (2 * n) / (2 * factorial(2 * n))

@@ -20,7 +20,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,23 +31,6 @@ from .relations import RelationNotFoundError, rediscover_triple
 from .series import eval_pi_power, eval_zeta_odd
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
-
-
-@dataclass
-class OutputRecord:
-    command: str
-    inputs: dict
-    result: object
-    digits: int = None
-    wall_time_ms: int = None
-
-    def to_json_dict(self):
-        record = {"command": self.command, "inputs": self.inputs, "result": self.result}
-        if self.digits is not None:
-            record["digits"] = self.digits
-        if self.wall_time_ms is not None:
-            record["wall_time_ms"] = self.wall_time_ms
-        return record
 
 
 def _positive_int(text):
@@ -75,10 +57,10 @@ def _coeff_text(q, latex=False):
 
 def _formula(triple, latex=False):
     e = triple.exponent
+    index = f"{{{e}}}" if latex else e
     pieces = []
-    for coeff, rate in zip(triple.coefficients(), (1, 2, 4)):
-        term = f"{_coeff_text(coeff, latex)} S_{{{e}}}({rate})" if latex \
-            else f"{_coeff_text(coeff)} S_{e}({rate})"
+    for rate, coeff in triple.weights():
+        term = f"{_coeff_text(coeff, latex)} S_{index}({rate})"
         if not pieces:
             pieces.append(term if coeff >= 0 else f"-{term}")
         else:
@@ -102,13 +84,13 @@ def _triple_row(triple, sep):
 
 
 def _emit(args, record, rendered_lines):
-    """Print either the JSON record or the format-specific lines."""
+    """Print the JSON record, or the lines for the format ("plain" for verify, which has none)."""
     wall_ms = int((time.monotonic() - args._t0) * 1000)
     fmt = getattr(args, "format", "plain")
     if fmt == "json":
         if args.timing:
-            record.wall_time_ms = wall_ms
-        print(json.dumps(record.to_json_dict(), indent=2))
+            record["wall_time_ms"] = wall_ms
+        print(json.dumps(record, indent=2))
     else:
         for line in rendered_lines[fmt]:
             print(line)
@@ -118,8 +100,8 @@ def _emit(args, record, rendered_lines):
 
 def _cmd_coeffs(args):
     triple = triple_for(Target(args.target), args.exponent)
-    record = OutputRecord("coeffs", {"target": args.target, "exponent": args.exponent},
-                          _triple_json(triple))
+    record = {"command": "coeffs", "inputs": {"target": args.target, "exponent": args.exponent},
+              "result": _triple_json(triple)}
     rendered = {
         "plain": [" ".join(format_rational(q) for q in triple.coefficients())],
         "csv": [_triple_row(triple, ",")],
@@ -144,19 +126,15 @@ def _cmd_eval(args):
         agree = min(agreement_digits(value, oracle), args.digits)
         result["oracle_agreement_digits"] = agree
         lines.append(f"agrees with oracle to >={agree} digits")
-    record = OutputRecord("eval", {"target": args.target, "exponent": args.exponent},
-                          result, digits=args.digits)
+    record = {"command": "eval", "inputs": {"target": args.target, "exponent": args.exponent},
+              "result": result, "digits": args.digits}
     _emit(args, record, {"plain": lines, "csv": [f"{args.target},{args.exponent},{args.digits},{text}"]})
     return 0
 
 
 def _cmd_verify(args):
     reports = verify_all(args.max_m, args.digits)
-    wall_ms = int((time.monotonic() - args._t0) * 1000)
-    payload = [r.to_json_dict() for r in reports]
-    print(json.dumps(payload, indent=2))
-    if args.timing:
-        print(f"wall_time_ms={wall_ms}", file=sys.stderr)
+    _emit(args, None, {"plain": [json.dumps([r.to_json_dict() for r in reports], indent=2)]})
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -164,27 +142,25 @@ def _cmd_discover(args):
     result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits)
     vector_text = "[" + ", ".join(format_rational(q) for q in (-1, *triple.coefficients())) + "]"
     formula = _formula(triple)
-    record = OutputRecord(
-        "discover", {"target": args.target, "exponent": args.exponent},
-        {
+    record = {
+        "command": "discover", "inputs": {"target": args.target, "exponent": args.exponent},
+        "result": {
             "vector": vector_text,
             "canonical_vector": list(result.vector),
             "formula": formula,
             "iterations": result.iterations,
             "residual": mp.nstr(result.residual.mpf, 5),
         },
-        digits=args.digits)
+        "digits": args.digits}
     _emit(args, record, {"plain": [vector_text, formula]})
     return 0
 
 
 def _cmd_table(args):
-    triples = []
-    for exponent in range(1, 4 * args.max_m + 2, 2):
-        triples.append(triple_for(Target.PI_POWER, exponent))
-        if exponent >= 3:
-            triples.append(triple_for(Target.ZETA_VALUE, exponent))
-    record = OutputRecord("table", {"max_m": args.max_m}, [_triple_json(t) for t in triples])
+    triples = [triple_for(target, e) for e in range(1, 4 * args.max_m + 2, 2) for target in Target
+               if target is Target.PI_POWER or e >= 3]
+    record = {"command": "table", "inputs": {"max_m": args.max_m},
+              "result": [_triple_json(t) for t in triples]}
     rendered = {
         "plain": [_triple_row(t, " ") for t in triples],
         "csv": [_triple_row(t, ",") for t in triples],
@@ -196,7 +172,7 @@ def _cmd_table(args):
 
 def _cmd_bernoulli(args):
     text = format_rational(bernoulli(args.index))
-    record = OutputRecord("bernoulli", {"index": args.index}, text)
+    record = {"command": "bernoulli", "inputs": {"index": args.index}, "result": text}
     _emit(args, record, {"plain": [text]})
     return 0
 
@@ -283,7 +259,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run all identity residual checks (JSON report)")
     add_common(p, digits=True, max_m=True)
-    p.set_defaults(handler=_cmd_verify, format="json")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("discover", help="rediscover a coefficient triple with PSLQ")
     p.add_argument("target", choices=["pi", "zeta"])

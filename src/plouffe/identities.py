@@ -234,7 +234,7 @@ def target_term(target, exponent):
 def _triple(target, exponent):
     triple = triple_for(target, exponent)
     return "triple", {"target": triple.target.value, "exponent": exponent}, [
-        (1, series_term(exponent, 1, weights=zip((1, 2, 4), triple.coefficients()))),
+        (1, series_term(exponent, 1, weights=triple.weights())),
         (-1, target_term(triple.target, exponent))]
 
 

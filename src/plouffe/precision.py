@@ -69,9 +69,10 @@ def pi_const(digits):
 def decimal_string(x, sig_digits):
     """Render an mpf with exactly ``sig_digits`` significant digits.
 
-    Exact binary-to-decimal conversion followed by a single half-even
-    rounding, so the digit string is a deterministic function of the value.
-    Trailing zeros are kept: the digit count is part of the contract.
+    Exact binary-to-decimal conversion, then one half-even rounding to the
+    context precision, so the digit string is a deterministic function of the
+    value.  Trailing zeros are kept: the digit count is part of the contract.
+    No int passes through str(), so Python's int/str digit limit never applies.
     """
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
@@ -88,16 +89,14 @@ def decimal_string(x, sig_digits):
         raise ValueError(f"cannot render non-finite value {x!r}")
     sign = "-" if sign_bit else ""
     with localcontext() as ctx:
-        # man * 2**exp expands to a finite decimal; convert exactly
-        ctx.prec = len(str(man)) + abs(exp) + sig_digits + 10
+        # man * 2**exp expands to at most this many decimal digits: convert exactly
+        ctx.prec = man.bit_length() // 3 + abs(exp) + 2
         ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(man) * (Decimal(2) ** exp)
-        target = d.adjusted() - sig_digits + 1
-        r = d.quantize(Decimal(1).scaleb(target))
-        if r.adjusted() > d.adjusted():
-            # the round carried into a new leading digit (9.99... -> 10.0...)
-            target += 1
-            r = r.quantize(Decimal(1).scaleb(target))
+        exact = Decimal(man) * Decimal(2) ** exp
+        ctx.prec = sig_digits
+        rounded = +exact  # the one rounding; a carry (9.99... -> 10.0...) moves the exponent
+        target = rounded.adjusted() - sig_digits + 1
+        r = rounded.quantize(Decimal(1).scaleb(target))  # pads trailing zeros, exactly
     if target > 0:
         # fewer requested digits than integer places: keep the count visible
         return sign + format(r, "e")

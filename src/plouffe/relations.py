@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .bernoulli import Target, CoefficientTriple, triple_for
+from .bernoulli import Target, triple_for
 from .identities import places, series_term, target_term, term_values
 from .precision import GUARD, PrecisionReal, to_mpf
 
@@ -176,7 +176,7 @@ def rediscover_triple(target, exponent, digits):
     target = Target(target)
     expected = triple_for(target, exponent)  # validates target/exponent
 
-    terms = [target_term(target, exponent)] + [series_term(exponent, r) for r in (1, 2, 4)]
+    terms = [target_term(target, exponent)] + [series_term(exponent, r) for r, _ in expected.weights()]
     # a relation with coefficients up to the bound must vanish to digits + GUARD places
     accuracy = places(digits + GUARD, len(terms) * MAX_COEFF)
     values = list(term_values(terms, accuracy).values())
@@ -200,4 +200,4 @@ def rediscover_triple(target, exponent, digits):
         raise RelationNotFoundError(
             f"recovered coefficients ({a}, {b}, {c}) disagree with the exact triple "
             f"{expected.coefficients()}; the relation is spurious (insufficient precision)")
-    return result, CoefficientTriple(target, exponent, a, b, c)
+    return result, expected

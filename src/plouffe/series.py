@@ -141,7 +141,7 @@ def s_series(spec):
 def _assemble(triple, digits):
     """a*S(1) + b*S(2) + c*S(4) at absolute error below 10**-(digits + GUARD),
     summed as one weighted q-series."""
-    value = _s_raw(triple.exponent, 1, digits + GUARD, weights=zip((1, 2, 4), triple.coefficients()))
+    value = _s_raw(triple.exponent, 1, digits + GUARD, weights=triple.weights())
     return PrecisionReal(value, digits)
 
 

@@ -31,7 +31,6 @@ from plouffe.bernoulli import (
     memo_preload,
     memo_snapshot,
     triple_for,
-    zeta_even_exact,
 )
 
 # the seven classical triples, exact
@@ -283,6 +282,12 @@ def test_triple_for_reproduces_the_seven_formulas():
     assert time.monotonic() - started < 1.0
 
 
+def test_triple_weights_pair_each_coefficient_with_its_rate():
+    assert triple_for(Target.PI_POWER, 5).weights() == ((1, 7056), (2, -6993), (4, -63))
+    assert triple_for(Target.ZETA_VALUE, 7).weights() == (
+        (1, Fraction(304, 13)), (2, Fraction(-103, 4)), (4, Fraction(19, 52)))
+
+
 def test_triple_consistency_chain_at_m_1():
     # reconstruct the exponent-5 coefficients from K_1, E_1, G_2 directly
     k1, e1, g2 = k_coeff(1), e_coeff(1), g_sum(2)
@@ -312,32 +317,6 @@ def test_triples_are_fully_reduced():
             triple = triple_for(target, exponent)
             for q in triple.coefficients():
                 assert math.gcd(abs(q.numerator), q.denominator) == 1
-
-
-def test_zeta_even_exact_values():
-    assert zeta_even_exact(1) == Fraction(1, 6)
-    assert zeta_even_exact(2) == Fraction(1, 90)
-    assert zeta_even_exact(3) == Fraction(1, 945)
-
-
-# frozen B_2..B_20 for the independent Euler-Maclaurin tail below
-EM_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-                Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
-                Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330)]
-
-
-def test_zeta_2_against_euler_maclaurin_summation():
-    # sum_{k<N} k^-2 exactly, then psi'(N) = 1/N + 1/(2N^2) + sum B_2j / N^(2j+1)
-    big_n = 60
-    partial = sum(Fraction(1, k * k) for k in range(1, big_n))
-    tail = Fraction(1, big_n) + Fraction(1, 2 * big_n ** 2)
-    for j, b in enumerate(EM_BERNOULLI, start=1):
-        tail += b / big_n ** (2 * j + 1)
-    oracle = partial + tail  # error below |B_22|/N^23 ~ 1e-36
-    with mp.workdps(60):
-        direct = mp.mpf(oracle.numerator) / oracle.denominator
-        euler = mp.mpf(zeta_even_exact(1).numerator) / zeta_even_exact(1).denominator * (+mp.pi) ** 2
-        assert abs(direct - euler) < mp.mpf(10) ** -30
 
 
 def test_memo_snapshot_and_preload():

@@ -356,6 +356,21 @@ def test_timing_flag_keeps_stdout_clean(capsys):
     assert "wall_time_ms" in payload
 
 
+def test_eval_json_with_timing_keeps_the_record_key_order(capsys):
+    code, out, err = run_cli(capsys, "eval", "pi", "3", "--digits", "50", "--format", "json", "--timing")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    validate(payload)
+    assert list(payload) == ["command", "inputs", "result", "digits", "wall_time_ms"]
+
+
+def test_verify_timing_goes_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-m", "1", "--digits", "10", "--timing")
+    assert code == 0
+    validate(json.loads(out))
+    assert re.fullmatch(r"wall_time_ms=\d+\n", err)
+
+
 def test_byte_identical_stdout_across_runs():
     command = [sys.executable, "-m", "plouffe", "eval", "pi", "3", "--digits", "300"]
     env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}

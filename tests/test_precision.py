@@ -7,6 +7,7 @@ arctangent sum.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plouffe.precision import PrecisionReal, decimal_string, format_rational, pi_const
+from plouffe.series import eval_pi_power
 
 PI_20 = "3.1415926535897932385"
 
@@ -143,6 +145,16 @@ def test_decimal_string_matches_an_exact_fraction_reference(case):
     man, exp, sig = case
     x = mp.make_mpf(mp.libmp.from_man_exp(man, exp))  # exact; mp.mpf(...) would round to 53 bits
     assert decimal_string(x, sig) == decimal_reference(Fraction(man) * Fraction(2) ** exp, sig)
+
+
+def test_rendering_needs_no_lift_of_the_int_str_digit_limit():
+    # 5000 digits are past Python's default 4300-digit int/str limit, which stays as it is
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    value = eval_pi_power(1, 5000)
+    with mp.workdps(5040):
+        assert value.to_decimal_string() == mp.nstr(+mp.pi, 5000, strip_zeros=False)
+    assert repr(value).startswith("PrecisionReal(3.14159265358979")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_precision_real_validation():
