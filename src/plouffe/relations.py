@@ -1,11 +1,13 @@
 """Integer relation detection via PSLQ, and rediscovery of the coefficient
 triples from raw high-precision values.
 
-The implementation follows the standard one-level PSLQ formulation
+The implementation follows the standard PSLQ formulation
 (lower-trapezoidal H matrix, gamma = sqrt(4/3) row selection, Hermite
-reduction) with mpf arithmetic for y/H and exact Python integers for the
-B matrix, whose columns are the candidate relations, so a detected relation
-vector is exact.  While running, 1/max|H_jj| is a lower bound on the
+reduction) on two levels: y in mpf arithmetic at the working precision, H
+at the precision its decisions need, rebuilt exactly from the integer state
+as that grows (see `pslq`), and exact Python integers for the B matrix,
+whose columns are the candidate relations, and its inverse, so a detected
+relation vector is exact.  While running, 1/max|H_jj| is a lower bound on the
 Euclidean norm of any relation, which is what a found = False result
 reports as the exclusion bound.  A candidate is a relation only at the
 precision its size needs (`min_digits_for`); each result says why it stopped.
@@ -51,6 +53,20 @@ def min_digits_for(n_values, max_coeff_bound):
     return math.ceil(n_values * math.log10(max_coeff_bound)) + 15
 
 
+def _rotate(H, r, c):
+    """Rotate columns r and c of H so that H[r][c] becomes 0 (rows above r
+    are 0 in both); False when both entries are 0 and no rotation exists."""
+    t0 = mp.sqrt(H[r][r] ** 2 + H[r][c] ** 2)
+    if t0 == 0:
+        return False
+    t1, t2 = H[r][r] / t0, H[r][c] / t0
+    for i in range(r, len(H)):
+        h1, h2 = H[i][r], H[i][c]
+        H[i][r] = t1 * h1 + t2 * h2
+        H[i][c] = -t2 * h1 + t1 * h2
+    return True
+
+
 def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     """Search for a nonzero integer vector v with sum v_i x_i = 0.
 
@@ -64,11 +80,42 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     verifies; otherwise, as on a vanishing rotation, "insufficient precision".
     The search also ends when the norm bound passes the coefficient bound
     (any int), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
+
+    Two precisions.  y is carried at the working precision (digits + GUARD
+    places), B and its exact inverse A as integers; H and every decision
+    read from it (the row m, the multipliers t, the rotation and the norm
+    bound) run at p = 128 + 2 * bitlen(max(|A|, |B|)) bits, since those
+    decisions read only H's leading bits.  Throughout, H = A H_x Q for the
+    initial H_x and an orthogonal Q, so H is the L factor of A H_x up to
+    column signs, which change neither |H_jj| nor H_ij / H_jj; whenever
+    bitlen(max(|A|, |B|)) has grown by 8 since the last rebuild, H is
+    rebuilt from that exact product by a Givens LQ at the new p.  y gets
+    the same integer steps as at one precision, so once the decisions agree,
+    y, B and the result agree bit for bit.  Once p exceeds half the working
+    precision, H is rebuilt at the working precision and A is dropped: from
+    there on, and from the start at small digits, this is the one-level
+    loop: an mpf operation then costs about the same at either precision,
+    so the rebuilds would cost more than they save.
+
+    Why the reported norm bound is still a lower bound: 1/max|H_jj| bounds
+    the norm of every relation for the exact H of the current integer state
+    (Ferguson, Bailey & Arno 1999), and the carried H differs from that H
+    only by rounding.  A rebuild starts from the exact product A H_x, so no
+    error survives it.  Until the next one A and B grow by fewer than 8
+    bits, and the p-bit steps in between, which magnify an error about as
+    much as A and B grow, use up little of the 128 bits p holds beyond
+    2 * bitlen(max(|A|, |B|)): just before a rebuild the carried |H_jj|
+    were correct to at least 112 bits on inputs of 300 to 2005 digits, far
+    more than the 53 bits the bound is reported in.  An H carried at a fixed
+    precision with no rebuild has no such margin: its errors grow with A
+    and B until its diagonal bounds nothing, and it reports "norm bound"
+    past relations that exist.
     """
     n = len(values)
     if n < 2:
         raise ValueError("pslq needs at least 2 values")
     with mp.workdps(digits + GUARD):
+        work = mp.mp.prec
         xs = [to_mpf(v) for v in values]
         if all(x == 0 for x in xs):
             raise ValueError("pslq input is the zero vector")
@@ -82,6 +129,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
 
         tol = mp.mpf(10) ** (-(digits - 10))
         gamma = mp.sqrt(mp.mpf(4) / 3)
+        gammas = [gamma ** (i + 1) for i in range(n - 1)]
 
         norm = mp.sqrt(mp.fsum(x * x for x in xs))
         x = [v / norm for v in xs]
@@ -89,12 +137,28 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         y = [v / s[0] for v in x]
         s = [v / s[0] for v in s]
         B = [[int(i == j) for j in range(n)] for i in range(n)]
-        H = [[mp.mpf(0)] * (n - 1) for _ in range(n)]
+        hx = [[mp.mpf(0)] * (n - 1) for _ in range(n)]
         for i in range(n):
             if i < n - 1:
-                H[i][i] = s[i + 1] / s[i]
+                hx[i][i] = s[i + 1] / s[i]
             for j in range(i):
-                H[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
+                hx[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
+
+        def level(size):
+            """H's precision for entries of A and B of `size` bits."""
+            bits = 128 + 2 * size
+            return bits if 2 * bits <= work else work
+
+        def rebuild(bits):
+            """H at `bits` bits: the L factor of the exact A H_x."""
+            with mp.workprec(bits):
+                H = [[mp.ldexp(mp.mpf(sum(a * h for a, h in zip(row, col))), e0)
+                      for col in hx_cols] for row in A]
+                for r in range(n - 1):
+                    for c in range(r + 1, n - 1):
+                        if H[r][c]:
+                            _rotate(H, r, c)
+            return H
 
         def reduce_row(i, j_top):
             for j in range(j_top, -1, -1):
@@ -103,19 +167,43 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 t = int(mp.nint(H[i][j] / H[j][j]))
                 if t == 0:
                     continue
-                y[j] += t * y[i]
+                steps.append((i, j, t))  # y[j] += t * y[i], at the working precision
                 for k in range(j + 1):
                     H[i][k] -= t * H[j][k]
                 for k in range(n):
                     B[k][j] += t * B[k][i]
+                if A is not None:
+                    A[i] = [a - t * b for a, b in zip(A[i], A[j])]
 
-        for i in range(1, n):
-            reduce_row(i, i - 1)
+        built = 1  # bitlen(max(|A|, |B|)) at the last rebuild
+        prec = level(built)
+        if prec == work:
+            A, H = None, hx
+        else:
+            A = [row[:] for row in B]
+            # H_x's columns as integers over one power of two: A H_x is exact
+            e0 = min(h.exp for row in hx for h in row if h)
+            hx_cols = [[int(mp.ldexp(row[j], -e0)) for row in hx] for j in range(n - 1)]
+            H = rebuild(prec)
+        steps = []
+        with mp.workprec(prec):
+            for i in range(1, n):
+                reduce_row(i, i - 1)
 
         best_bound = 0.0
         iterations = 0
         stop = "insufficient precision"  # unless a break below says otherwise
         while True:
+            for i, j, t in steps:
+                y[j] += t * y[i]
+            steps.clear()
+            if A is not None:
+                size = max(abs(v) for row in A + B for v in row).bit_length()
+                if size >= built + 8:
+                    built, prec = size, level(size)
+                    H = rebuild(prec)
+                    if prec == work:
+                        A = None
             y_min, idx = min((abs(v), i) for i, v in enumerate(y))
             if y_min < tol:
                 vector = _canonical([B[j][idx] for j in range(n)])
@@ -137,30 +225,22 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 stop = "iteration cap"
                 break
             iterations += 1
-            m, best = 0, mp.mpf(-1)
-            for i in range(n - 1):
-                weighted = gamma ** (i + 1) * abs(H[i][i])
-                if weighted > best:
-                    best, m = weighted, i
-            y[m], y[m + 1] = y[m + 1], y[m]
-            H[m], H[m + 1] = H[m + 1], H[m]
-            for k in range(n):
-                B[k][m], B[k][m + 1] = B[k][m + 1], B[k][m]
-            if m < n - 2:
-                t0 = mp.sqrt(H[m][m] ** 2 + H[m][m + 1] ** 2)
-                if t0 == 0:
+            with mp.workprec(prec):
+                m = max(range(n - 1), key=lambda i: gammas[i] * abs(H[i][i]))
+                y[m], y[m + 1] = y[m + 1], y[m]
+                H[m], H[m + 1] = H[m + 1], H[m]
+                for row in B:
+                    row[m], row[m + 1] = row[m + 1], row[m]
+                if A is not None:
+                    A[m], A[m + 1] = A[m + 1], A[m]
+                if m < n - 2 and not _rotate(H, m, m + 1):
                     break  # precision exhausted
-                t1, t2 = H[m][m] / t0, H[m][m + 1] / t0
-                for i in range(m, n):
-                    h1, h2 = H[i][m], H[i][m + 1]
-                    H[i][m] = t1 * h1 + t2 * h2
-                    H[i][m + 1] = -t2 * h1 + t1 * h2
-            for i in range(m + 1, n):
-                reduce_row(i, min(i - 1, m + 1))
+                for i in range(m + 1, n):
+                    reduce_row(i, min(i - 1, m + 1))
 
-            h_max = max(abs(H[i][i]) for i in range(n - 1))
-            if h_max > 0:
-                best_bound = max(best_bound, float(1 / h_max))
+                h_max = max(abs(H[i][i]) for i in range(n - 1))
+                if h_max > 0:
+                    best_bound = max(best_bound, float(1 / h_max))
 
         return RelationResult((), PrecisionReal(mp.mpf(1), digits),
                               iterations, False, best_bound, stop)

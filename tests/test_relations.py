@@ -93,23 +93,65 @@ def test_pslq_accepts_a_bound_past_the_float_range():
     assert not result.found and result.vector == ()
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_pslq_recovers_planted_relations(data):
-    n = data.draw(st.integers(2, 5), label="n")
-    bound = 10 ** data.draw(st.integers(1, 6), label="log10 bound")
-    planted = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
-                        .filter(lambda v: v[-1] != 0), label="planted")
-    digits = min_digits_for(n, bound) + data.draw(st.integers(5, 40), label="extra digits")
-    rng = random.Random(data.draw(st.integers(0, 2 ** 64), label="seed"))
+def canonical(vector):
+    """gcd 1 and first nonzero entry positive."""
+    g = math.gcd(*vector)
+    sign = 1 if next(v for v in vector if v) > 0 else -1
+    return tuple(sign * v // g for v in vector)
+
+
+def planted_values(planted, digits, seed):
+    """Random reals x_0..x_{n-2} and the x_{n-1} that makes sum v_i x_i = 0,
+    40 places past `digits`; the planted vector spans their relations."""
+    rng = random.Random(seed)
     bits = 4 * digits + 100
     with mp.workdps(digits + 40):
-        xs = [mp.mpf(rng.getrandbits(bits)) / 2 ** bits for _ in range(n - 1)]
+        xs = [mp.mpf(rng.getrandbits(bits)) / 2 ** bits for _ in planted[:-1]]
         xs.append(-mp.fsum(v * x for v, x in zip(planted, xs)) / planted[-1])
-    g = math.gcd(*planted)
-    sign = 1 if next(v for v in planted if v) > 0 else -1
+    return xs
+
+
+def planted_vectors(n, size):
+    return st.lists(st.integers(-size, size), min_size=n, max_size=n).filter(lambda v: v[-1] != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pslq_recovers_planted_relations(data):
+    # the planted vector may lie past the coefficient bound; a search that
+    # gives up must not claim to have excluded it (norm bound soundness)
+    n = data.draw(st.integers(2, 6), label="n")
+    bound = 10 ** data.draw(st.integers(1, 8), label="log10 bound")
+    planted = data.draw(planted_vectors(n, bound * 10 ** data.draw(st.integers(0, 2))),
+                        label="planted")
+    digits = (min_digits_for(n, max(map(abs, planted)))
+              + data.draw(st.integers(5, 30), label="extra digits"))
+    xs = planted_values(planted, digits, data.draw(st.integers(0, 2 ** 64), label="seed"))
+    relation = canonical(planted)
     result = pslq(xs, digits, max_coeff_bound=bound)
-    assert result.found and result.vector == tuple(sign * v // g for v in planted)
+    if result.found:
+        assert result.vector == relation
+    else:
+        assert result.norm_bound <= math.hypot(*relation)
+    if max(map(abs, relation)) <= bound:
+        assert result.found
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pslq_agrees_with_mpmath_pslq(data):
+    # an independent implementation: whenever mpmath's pslq reports a
+    # relation for a planted input, it is ours
+    n = data.draw(st.integers(2, 5), label="n")
+    bound = 10 ** data.draw(st.integers(1, 6), label="log10 bound")
+    # mpmath's pslq refuses a zero value, which the vector (0, ..., 0, c) plants
+    planted = data.draw(planted_vectors(n, bound).filter(lambda v: any(v[:-1])), label="planted")
+    digits = min_digits_for(n, bound) + data.draw(st.integers(5, 30), label="extra digits")
+    xs = planted_values(planted, digits, data.draw(st.integers(0, 2 ** 64), label="seed"))
+    with mp.workdps(digits):
+        theirs = mp.pslq(xs, maxcoeff=bound, maxsteps=10 ** 4)
+    if theirs is not None:
+        assert canonical(theirs) == pslq(xs, digits, max_coeff_bound=bound).vector
 
 
 @settings(max_examples=60, deadline=None)
