@@ -286,9 +286,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    # Exact numerators outgrow Python's default 4300-digit int<->str limit
-    # (B_k from k = 2064 on); lift it for this command only, so in-process
-    # callers keep their own setting.  Python < 3.10.7 has no such limit.
+    # Cache files pass B_k through int() and str(), past Python's default
+    # 4300-digit limit from k = 2064 on; lift it for this command only, so
+    # in-process callers keep their own setting (Python < 3.10.7 has none).
     saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved_limit is not None:
         sys.set_int_max_str_digits(0)

@@ -67,7 +67,8 @@ def pi_const(digits):
 
 
 def decimal_string(x, sig_digits):
-    """Render an mpf with exactly ``sig_digits`` significant digits.
+    """Render an mpf, or what `to_mpf` converts at ``sig_digits + 30``
+    places, with exactly ``sig_digits`` significant digits.
 
     Exact binary-to-decimal conversion, then one half-even rounding to the
     context precision, so the digit string is a deterministic function of the
@@ -78,7 +79,7 @@ def decimal_string(x, sig_digits):
         raise ValueError("sig_digits must be >= 1")
     if not isinstance(x, mp.mpf):
         with mp.workdps(sig_digits + 30):
-            x = mp.mpf(x)
+            x = to_mpf(x)
     if x == 0:
         return "0"
     # read the raw (sign, mantissa, exponent) triple: any mpmath arithmetic
@@ -117,8 +118,9 @@ def agreement_digits(a, b):
 
 
 def format_rational(q):
-    """Fully reduced "p/q" string, or a bare integer when q == 1."""
+    """Fully reduced "p/q" string, or a bare integer when q == 1; no int
+    passes through str(), so Python's int/str digit limit never applies."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"

@@ -1,16 +1,19 @@
 """Integer relation detection via PSLQ, and rediscovery of the coefficient
 triples from raw high-precision values.
 
-The implementation follows the standard PSLQ formulation
-(lower-trapezoidal H matrix, gamma = sqrt(4/3) row selection, Hermite
-reduction) on two levels: y in mpf arithmetic at the working precision, H
-at the precision its decisions need, rebuilt exactly from the integer state
-as that grows (see `pslq`), and exact Python integers for the B matrix,
-whose columns are the candidate relations, and its inverse, so a detected
-relation vector is exact.  While running, 1/max|H_jj| is a lower bound on the
-Euclidean norm of any relation, which is what a found = False result
-reports as the exclusion bound.  A candidate is a relation only at the
-precision its size needs (`min_digits_for`); each result says why it stopped.
+The implementation follows the standard PSLQ formulation (lower-trapezoidal
+H matrix, gamma = sqrt(4/3) row selection, Hermite reduction) as exact
+integer state plus one H.  The inputs are rounded once to the working
+precision and held as integers over one power of two.  The B matrix, whose
+columns are the candidate relations, its inverse, y = x B and each
+candidate's residual are then exact Python integers, so a detected relation
+and its residual are exact.  H is the one floating-point matrix: it runs at
+the precision its decisions need and is rebuilt exactly from the integer
+state as that grows (see `pslq`).  While running, 1/max|H_jj| is a lower
+bound on the Euclidean norm of any relation, which is what a found = False
+result reports as the exclusion bound.  A candidate is a relation only at
+the precision its size needs (`min_digits_for`); each result says why it
+stopped.
 """
 
 import math
@@ -81,21 +84,25 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     The search also ends when the norm bound passes the coefficient bound
     (any int), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
 
-    Two precisions.  y is carried at the working precision (digits + GUARD
-    places), B and its exact inverse A as integers; H and every decision
-    read from it (the row m, the multipliers t, the rotation and the norm
-    bound) run at p = 128 + 2 * bitlen(max(|A|, |B|)) bits, since those
-    decisions read only H's leading bits.  Throughout, H = A H_x Q for the
-    initial H_x and an orthogonal Q, so H is the L factor of A H_x up to
-    column signs, which change neither |H_jj| nor H_ij / H_jj; whenever
-    bitlen(max(|A|, |B|)) has grown by 8 since the last rebuild, H is
-    rebuilt from that exact product by a Givens LQ at the new p.  y gets
-    the same integer steps as at one precision, so once the decisions agree,
-    y, B and the result agree bit for bit.  Once p exceeds half the working
-    precision, H is rebuilt at the working precision and A is dropped: from
-    there on, and from the start at small digits, this is the one-level
-    loop: an mpf operation then costs about the same at either precision,
-    so the rebuilds would cost more than they save.
+    Exact integer state plus one H.  The inputs are rounded once to the
+    working precision (digits + GUARD places) and held as integers X over
+    one power of two.  B and its exact inverse A are integers, and
+    y = X B / |X| is not carried: the termination test and a candidate's
+    residual |sum v_i X_i| are exact integer sums, compared exactly with
+    their limits whatever the size of v.  H is the only floating-point
+    quantity.  It and every decision read from it (the row m, the
+    multipliers t, the rotation and the norm bound) run at
+    p = 128 + 2 * bitlen(max(|A|, |B|)) bits, since those decisions read
+    only H's leading bits.  H = A H_x Q throughout, for the H_x of X and an
+    orthogonal Q, so H is the L factor of A H_x up to column signs, which
+    change neither |H_jj| nor H_ij / H_jj.  Only `rebuild` makes H, from
+    that exact product by a Givens LQ at the current p: at the start from
+    A = I, where H_x is already lower trapezoidal, and whenever
+    bitlen(max(|A|, |B|)) has grown by 8 since the last rebuild.  Once p
+    exceeds half the working precision, H runs at the working precision and
+    A is dropped: from there on, and from the start at small digits, nothing
+    is rebuilt, since an mpf operation then costs about the same at either
+    precision.
 
     Why the reported norm bound is still a lower bound: 1/max|H_jj| bounds
     the norm of every relation for the exact H of the current integer state
@@ -127,37 +134,41 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 return RelationResult(_canonical(unit), PrecisionReal(mp.mpf(0), digits),
                                       0, True, 1.0, "found")
 
-        tol = mp.mpf(10) ** (-(digits - 10))
+        e = min(x.exp for x in xs)
+        X = [int(mp.ldexp(x, -e)) for x in xs]  # x_i = X_i 2**e, exactly
+        # the test |y_j| < 10**-(digits-10), y = X B / |X|, in integers:
+        # |(X B)_j|**2 * 10**(2 digits) < |X|**2 * 10**20, i.e. |(X B)_j| <= y_max
+        y_max = math.isqrt((sum(v * v for v in X) * 10 ** 20 - 1) // 10 ** (2 * digits))
         gamma = mp.sqrt(mp.mpf(4) / 3)
         gammas = [gamma ** (i + 1) for i in range(n - 1)]
 
-        norm = mp.sqrt(mp.fsum(x * x for x in xs))
-        x = [v / norm for v in xs]
-        s = [mp.sqrt(mp.fsum(x[j] * x[j] for j in range(k, n))) for k in range(n)]
-        y = [v / s[0] for v in x]
-        s = [v / s[0] for v in s]
-        B = [[int(i == j) for j in range(n)] for i in range(n)]
+        s = [mp.sqrt(sum(v * v for v in X[k:])) for k in range(n)]
         hx = [[mp.mpf(0)] * (n - 1) for _ in range(n)]
         for i in range(n):
             if i < n - 1:
                 hx[i][i] = s[i + 1] / s[i]
             for j in range(i):
-                hx[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
+                hx[i][j] = -X[i] * X[j] / (s[j] * s[j + 1])
+        # H_x's columns as integers over one power of two: A H_x is exact
+        e0 = min(h.exp for row in hx for h in row if h)
+        hx_cols = [[int(mp.ldexp(row[j], -e0)) for row in hx] for j in range(n - 1)]
 
-        def level(size):
-            """H's precision for entries of A and B of `size` bits."""
-            bits = 128 + 2 * size
-            return bits if 2 * bits <= work else work
-
-        def rebuild(bits):
-            """H at `bits` bits: the L factor of the exact A H_x."""
-            with mp.workprec(bits):
+        def rebuild(size):
+            """H for A and B of `size` bits: the L factor of the exact A H_x at
+            p bits; A is dropped once p is the working precision."""
+            nonlocal A, built, prec
+            built, prec = size, 128 + 2 * size
+            if 2 * prec > work:
+                prec = work
+            with mp.workprec(prec):
                 H = [[mp.ldexp(mp.mpf(sum(a * h for a, h in zip(row, col))), e0)
                       for col in hx_cols] for row in A]
                 for r in range(n - 1):
                     for c in range(r + 1, n - 1):
                         if H[r][c]:
                             _rotate(H, r, c)
+            if prec == work:
+                A = None
             return H
 
         def reduce_row(i, j_top):
@@ -167,7 +178,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 t = int(mp.nint(H[i][j] / H[j][j]))
                 if t == 0:
                     continue
-                steps.append((i, j, t))  # y[j] += t * y[i], at the working precision
                 for k in range(j + 1):
                     H[i][k] -= t * H[j][k]
                 for k in range(n):
@@ -175,17 +185,9 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 if A is not None:
                     A[i] = [a - t * b for a, b in zip(A[i], A[j])]
 
-        built = 1  # bitlen(max(|A|, |B|)) at the last rebuild
-        prec = level(built)
-        if prec == work:
-            A, H = None, hx
-        else:
-            A = [row[:] for row in B]
-            # H_x's columns as integers over one power of two: A H_x is exact
-            e0 = min(h.exp for row in hx for h in row if h)
-            hx_cols = [[int(mp.ldexp(row[j], -e0)) for row in hx] for j in range(n - 1)]
-            H = rebuild(prec)
-        steps = []
+        B = [[int(i == j) for j in range(n)] for i in range(n)]
+        A, built, prec = [row[:] for row in B], None, None  # B = I; rebuild sets the rest
+        H = rebuild(1)
         with mp.workprec(prec):
             for i in range(1, n):
                 reduce_row(i, i - 1)
@@ -194,26 +196,21 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         iterations = 0
         stop = "insufficient precision"  # unless a break below says otherwise
         while True:
-            for i, j, t in steps:
-                y[j] += t * y[i]
-            steps.clear()
             if A is not None:
                 size = max(abs(v) for row in A + B for v in row).bit_length()
                 if size >= built + 8:
-                    built, prec = size, level(size)
-                    H = rebuild(prec)
-                    if prec == work:
-                        A = None
-            y_min, idx = min((abs(v), i) for i, v in enumerate(y))
-            if y_min < tol:
+                    H = rebuild(size)
+            y_min, idx = min((abs(sum(x * b for x, b in zip(X, col))), j)
+                             for j, col in enumerate(zip(*B)))
+            if y_min <= y_max:
                 vector = _canonical([B[j][idx] for j in range(n)])
-                with mp.workdps(digits + GUARD + 30):  # re-evaluated 30 places finer
-                    residual = abs(mp.fsum(v * x for v, x in zip(vector, xs)))
-                scale = max(abs(v) for v in xs)
+                residual = abs(sum(v * x for v, x in zip(vector, X)))  # in units of 2**e
                 largest = max(abs(v) for v in vector)
                 ok = (largest <= max_coeff_bound and min_digits_for(n, largest) <= digits
-                      and residual < mp.mpf(10) ** (-(digits - 15)) * scale)
+                      and residual * 10 ** digits < 10 ** 15 * max(abs(x) for x in X))
                 if ok:
+                    with mp.workprec(residual.bit_length() + 1):  # exact
+                        residual = mp.ldexp(residual, e)
                     return RelationResult(vector, PrecisionReal(residual, digits),
                                           iterations, True, best_bound, "found")
                 break  # numerically spent: the candidate does not verify
@@ -227,7 +224,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
             iterations += 1
             with mp.workprec(prec):
                 m = max(range(n - 1), key=lambda i: gammas[i] * abs(H[i][i]))
-                y[m], y[m + 1] = y[m + 1], y[m]
                 H[m], H[m + 1] = H[m + 1], H[m]
                 for row in B:
                     row[m], row[m + 1] = row[m + 1], row[m]

@@ -165,3 +165,25 @@ def test_precision_real_validation():
 def test_format_rational():
     assert format_rational(Fraction(-259, 10)) == "-259/10"
     assert format_rational(Fraction(24)) == "24"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int<->str digit limit")
+def test_format_rational_needs_no_lift_of_the_int_str_digit_limit():
+    # both terms have more digits than the default 4300-digit limit, as B_2100's numerator has
+    q = Fraction(-(7 ** 6000) - 1, 3 ** 9100)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        text = format_rational(q)
+        sys.set_int_max_str_digits(0)
+        expected = f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert text == expected
+
+
+def test_decimal_string_renders_a_fraction():
+    assert decimal_string(Fraction(1, 3), 5) == "0.33333"
+    assert decimal_string(Fraction(5, 2), 1) == "2"  # the exact tie rounds half to even
+    assert decimal_string(Fraction(-7, 2), 1) == "-4"

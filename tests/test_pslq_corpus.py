@@ -3,9 +3,10 @@
 `pslq_corpus.json` holds, for seeded inputs (planted relations within and
 past the coefficient bound, and random reals; n = 2..7, at most 300
 digits), what `pslq` returned when the file was written: the relation
-vector, the iteration count, the stop reason and the norm bound to 3
-significant digits.  It also holds the same for the PSLQ runs behind four
-`discover` commands at 2005 digits, two of which stop at the norm bound.
+vector, the iteration count, the stop reason, the norm bound to 3
+significant digits and the residual as `discover` prints it.  It also
+holds the same for the PSLQ runs behind four `discover` commands at 2005
+digits, two of which stop at the norm bound.
 A change to how PSLQ computes must replay all of them.  Regenerate the
 file (only for a deliberate change of outcomes) with
 `PYTHONPATH=src python tests/test_pslq_corpus.py`.
@@ -67,7 +68,8 @@ def values(case):
 
 def outcome(result):
     return {"vector": list(result.vector), "iterations": result.iterations,
-            "stop": result.stop, "norm_bound": f"{result.norm_bound:.3g}"}
+            "stop": result.stop, "norm_bound": f"{result.norm_bound:.3g}",
+            "residual": mp.nstr(result.residual.mpf, 5)}
 
 
 def run_case(case):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from plouffe import relations
 from plouffe.bernoulli import Target, triple_for
-from plouffe.precision import pi_const
+from plouffe.precision import GUARD, pi_const, to_mpf
 from plouffe.relations import RelationNotFoundError, min_digits_for, pslq, rediscover_triple
 from plouffe.series import SeriesSpec, s_series
 
@@ -87,6 +87,17 @@ def test_pslq_relation_exposed_by_the_initial_reduction(x, relation):
     assert result.found and result.vector == relation
 
 
+@pytest.mark.parametrize("digits, bound", [(100, 10 ** 6), (100, 10), (20, 10 ** 6)])
+def test_pslq_ignores_the_ambient_precision(digits, bound):
+    # found, "norm bound" and "insufficient precision"; pslq sets every precision it uses
+    values = [pi_const(120).mpf] + s1_values(120)
+    with mp.workdps(15):
+        low = pslq(values, digits, max_coeff_bound=bound)
+    with mp.workdps(3000):
+        high = pslq(values, digits, max_coeff_bound=bound)
+    assert low == high and low.iterations > 0
+
+
 def test_pslq_accepts_a_bound_past_the_float_range():
     with mp.workdps(100):
         result = pslq([+mp.pi, +mp.e], 50, max_coeff_bound=10 ** 400)
@@ -111,6 +122,12 @@ def planted_values(planted, digits, seed):
     return xs
 
 
+def exact(x):
+    """An mpf as the Fraction it stands for."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
 def planted_vectors(n, size):
     return st.lists(st.integers(-size, size), min_size=n, max_size=n).filter(lambda v: v[-1] != 0)
 
@@ -131,6 +148,10 @@ def test_pslq_recovers_planted_relations(data):
     result = pslq(xs, digits, max_coeff_bound=bound)
     if result.found:
         assert result.vector == relation
+        # the residual is exact: |sum v_i x_i| over the inputs as pslq rounds them
+        with mp.workdps(digits + GUARD):
+            rounded = [exact(to_mpf(x)) for x in xs]
+        assert exact(result.residual.mpf) == abs(sum(v * x for v, x in zip(relation, rounded)))
     else:
         assert result.norm_bound <= math.hypot(*relation)
     if max(map(abs, relation)) <= bound:
