@@ -221,45 +221,44 @@ def _validate_exponent(target, exponent):
         raise ValueError("zeta(1) diverges; zeta targets need exponent >= 3")
 
 
+def _zeta_identity(exponent):
+    """(scale, shift) with zeta(e) = scale pi^e + shift . (S(1), S(2), S(4)):
+    zeta(e) = -2 S(2) - 4^n F_n pi^e for e = 4m-1 and n = 2m-1, and
+    zeta(e) = (2 S(4) - 2 16^m S(1) - 16^m G_2m pi^e) / (16^m - 1) for e = 4m+1."""
+    if exponent % 4 == 3:
+        n = (exponent - 1) // 2
+        return -Fraction(4) ** n * f_sum(n), (0, -2, 0)
+    m = (exponent - 1) // 4
+    sixteen = Fraction(16) ** m
+    shift = (-2 * sixteen / (sixteen - 1), 0, 2 / (sixteen - 1))
+    return -sixteen * g_sum(2 * m) / (sixteen - 1), shift
+
+
 def triple_for(target, exponent):
     """Exact coefficient triple for pi**exponent or zeta(exponent), odd exponent.
 
-    Dispatches on exponent mod 4 to the 4m-1 or 4m+1 family; exponent 1 is
-    the classical (72, -96, 24) representation of pi itself.
+    The pi triple is the paper's closed form for the exponent's class mod 4
+    (D_m for 4m-1; K_m and E_m for 4m+1; the classical (72, -96, 24) at 1).
+    A zeta triple is its pi triple put through the identity `verify` checks
+    for zeta(e) (`_zeta_identity`): the symmetric point alpha = beta = pi for
+    4m-1, the zeta(4m+1) evaluation (alpha = 2 pi, beta = pi/2) for 4m+1.
     """
     target = Target(target)
     _validate_exponent(target, exponent)
 
     if exponent == 1:
-        return CoefficientTriple(target, 1, Fraction(72), Fraction(-96), Fraction(24))
-
-    if exponent % 4 == 3:
+        triple = (Fraction(72), Fraction(-96), Fraction(24))
+    elif exponent % 4 == 3:
         m = (exponent + 1) // 4
-        d = d_coeff(m)
-        p = Fraction(4) ** (2 * m - 1)
-        if target is Target.PI_POWER:
-            a, b, c = p / d, -(p + 1) / d, 1 / d
-        else:
-            f = f_sum(2 * m - 1)
-            g = g_sum(2 * m - 1)
-            a, b, c = -f * p * p / d, g * p / d, -f * p / d
+        p, d = Fraction(4) ** (2 * m - 1), d_coeff(m)
+        triple = (p / d, -(p + 1) / d, 1 / d)
     else:
         m = (exponent - 1) // 4
-        km = k_coeff(m)
-        em = e_coeff(m)
-        g2m = g_sum(2 * m)
-        four = Fraction(4) ** (2 * m)           # 16^m
-        two = Fraction(2) ** (4 * m + 1)        # 2^(4m+1)
-        neg = Fraction(-4) ** m
-        if target is Target.PI_POWER:
-            a = -four / em
-            b = 2 * km * (two - neg + 1) / em
-            c = (1 - 4 * km) / em
-        else:
-            den = (four - 1) * em
-            a = -four * (2 * em - four * g2m) / den
-            b = -2 * four * g2m * km * (2 * four - neg + 1) / den
-            c = -(four * g2m * (1 - 4 * km) - 2 * em) / den
+        km, em = k_coeff(m), e_coeff(m)
+        sixteen = Fraction(16) ** m
+        triple = (-sixteen / em, 2 * km * (2 * sixteen - (-4) ** m + 1) / em, (1 - 4 * km) / em)
+    if target is Target.ZETA_VALUE:
+        scale, shift = _zeta_identity(exponent)
+        triple = (scale * x + s for x, s in zip(triple, shift))
 
-    return CoefficientTriple(target, exponent, a, b, c)
-
+    return CoefficientTriple(target, exponent, *triple)

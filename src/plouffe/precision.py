@@ -67,41 +67,38 @@ def pi_const(digits):
 
 
 def decimal_string(x, sig_digits):
-    """Render an mpf, or what `to_mpf` converts at ``sig_digits + 30``
-    places, with exactly ``sig_digits`` significant digits.
+    """Render an mpf, or anything `Fraction` takes, with exactly
+    ``sig_digits`` significant digits.
 
-    Exact binary-to-decimal conversion, then one half-even rounding to the
-    context precision, so the digit string is a deterministic function of the
-    value.  Trailing zeros are kept: the digit count is part of the contract.
-    No int passes through str(), so Python's int/str digit limit never applies.
+    The value is one exact ratio of integers (an mpf is man * 2**exp), and
+    one half-even decimal division at ``sig_digits`` rounds it, so the digit
+    string is a deterministic function of the value.  Trailing zeros are
+    kept: the digit count is part of the contract.  No int passes through
+    str(), so Python's int/str digit limit never applies.
     """
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
-    if not isinstance(x, mp.mpf):
-        with mp.workdps(sig_digits + 30):
-            x = to_mpf(x)
-    if x == 0:
+    if isinstance(x, mp.mpf):
+        if not mp.isfinite(x):
+            raise ValueError(f"cannot render non-finite value {x!r}")
+        # from the raw (sign, mantissa, exponent) triple: any mpmath arithmetic
+        # here would silently re-round the value at the ambient precision
+        num, den = map(int, mp.libmp.to_rational(x._mpf_))
+    else:
+        num, den = Fraction(x).as_integer_ratio()
+    if num == 0:
         return "0"
-    # read the raw (sign, mantissa, exponent) triple: any mpmath arithmetic
-    # here would silently re-round the value at the ambient precision
-    sign_bit, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)
-    if man == 0:
-        raise ValueError(f"cannot render non-finite value {x!r}")
-    sign = "-" if sign_bit else ""
     with localcontext() as ctx:
-        # man * 2**exp expands to at most this many decimal digits: convert exactly
-        ctx.prec = man.bit_length() // 3 + abs(exp) + 2
-        ctx.rounding = ROUND_HALF_EVEN
-        exact = Decimal(man) * Decimal(2) ** exp
         ctx.prec = sig_digits
-        rounded = +exact  # the one rounding; a carry (9.99... -> 10.0...) moves the exponent
+        ctx.rounding = ROUND_HALF_EVEN
+        # the one rounding; a carry (9.99... -> 10.0...) moves the exponent
+        rounded = Decimal(num) / Decimal(den)
         target = rounded.adjusted() - sig_digits + 1
         r = rounded.quantize(Decimal(1).scaleb(target))  # pads trailing zeros, exactly
     if target > 0:
         # fewer requested digits than integer places: keep the count visible
-        return sign + format(r, "e")
-    return sign + format(r, "f")
+        return format(r, "e")
+    return format(r, "f")
 
 
 def agreement_digits(a, b):

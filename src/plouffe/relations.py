@@ -79,8 +79,11 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     Termination, named by the result's `stop`: once min |y_i| <
     10**-(digits-10) (tested before every iteration, since the initial
     reduction can already expose a relation), the candidate v is "found" if
-    max|v| is within the bound, `min_digits_for(n, max|v|) <= digits` and v
-    verifies; otherwise, as on a vanishing rotation, "insufficient precision".
+    max|v| is within the bound and `min_digits_for(n, max|v|) <= digits`;
+    otherwise, as on a vanishing rotation, "insufficient precision".  The
+    test bounds the exact residual it reports, so nothing else checks it:
+    |sum v_i x_i| <= min |y_i| |x| < 10**-(digits-10) sqrt(n) max|x_i|,
+    below 10**-(digits-15) max|x_i| for every n < 10**10.
     The search also ends when the norm bound passes the coefficient bound
     (any int), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
 
@@ -88,10 +91,10 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     working precision (digits + GUARD places) and held as integers X over
     one power of two.  B and its exact inverse A are integers, and
     y = X B / |X| is not carried: the termination test and a candidate's
-    residual |sum v_i X_i| are exact integer sums, compared exactly with
-    their limits whatever the size of v.  H is the only floating-point
-    quantity.  It and every decision read from it (the row m, the
-    multipliers t, the rotation and the norm bound) run at
+    residual |sum v_i X_i| are exact integer sums, so the test is exact
+    whatever the size of v.  H is the only floating-point quantity.  It and
+    every decision read from it (the row m, the multipliers t, the rotation
+    and the norm bound) run at
     p = 128 + 2 * bitlen(max(|A|, |B|)) bits, since those decisions read
     only H's leading bits.  H = A H_x Q throughout, for the H_x of X and an
     orthogonal Q, so H is the L factor of A H_x up to column signs, which
@@ -206,14 +209,12 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 vector = _canonical([B[j][idx] for j in range(n)])
                 residual = abs(sum(v * x for v, x in zip(vector, X)))  # in units of 2**e
                 largest = max(abs(v) for v in vector)
-                ok = (largest <= max_coeff_bound and min_digits_for(n, largest) <= digits
-                      and residual * 10 ** digits < 10 ** 15 * max(abs(x) for x in X))
-                if ok:
+                if largest <= max_coeff_bound and min_digits_for(n, largest) <= digits:
                     with mp.workprec(residual.bit_length() + 1):  # exact
                         residual = mp.ldexp(residual, e)
                     return RelationResult(vector, PrecisionReal(residual, digits),
                                           iterations, True, best_bound, "found")
-                break  # numerically spent: the candidate does not verify
+                break  # numerically spent: v is too large for the bound or the digits
             # float against int, so the bound may lie past the float range
             if best_bound / math.sqrt(n) > max_coeff_bound:
                 stop = "norm bound"  # no relation within the coefficient bound exists

@@ -7,12 +7,14 @@ definitions, hand-derived small cases and the seven classical triples.
 """
 
 import importlib
+import json
 import math
 import random
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -298,6 +300,18 @@ def test_triple_consistency_chain_at_m_1():
     assert -16 * (2 * e1 - 16 * g2) / den == 24
     assert -2 * 16 * g2 * k1 * (32 + 4 + 1) / den == Fraction(-259, 10)
     assert -(16 * g2 * (1 - 4 * k1) - 2 * e1) / den == Fraction(-1, 10)
+
+
+def test_triple_for_reproduces_the_benchmark_fixture():
+    # perfbench/triples.json was written once from the closed forms and covers
+    # exponents up to 503, far past the classical triples
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "triples.json"
+    fixture = json.loads(path.read_text())["triples"]
+    assert len(fixture) == 127
+    for key, text in fixture.items():
+        target, exponent = key.split()
+        expected = tuple(Fraction(q) for q in text.split())
+        assert triple_for(target, int(exponent)).coefficients() == expected, key
 
 
 def test_triple_for_errors():

@@ -3,12 +3,14 @@ its two special-point reductions, the Vepstas expression, the T/S
 companion identity, and the batch driver."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 import plouffe.identities as identities
+from plouffe.bernoulli import triple_for
 from plouffe.identities import (
     ramanujan_residual,
     symmetric_point_residual,
@@ -188,3 +190,28 @@ def test_a_residual_above_ten_to_the_minus_digits_fails(digits):
         [(identity, params, form), (identity, params, off)], digits)
     assert true_report.passed
     assert not off_report.passed
+
+
+def test_zeta_triples_solve_the_identity_forms_exactly():
+    # the forms verify checks numerically, solved over Fractions for zeta(e)
+    # with the pi triple put in for pi^e, give triple_for's zeta triple
+    for e in range(3, 202, 2):
+        if e % 4 == 3:
+            _, _, form = identities._symmetric_point((e - 1) // 2)
+        else:
+            _, _, form = identities._zeta_4m1((e - 1) // 4)
+        zeta, series = Fraction(0), Counter()  # series: rate -> coefficient of S(rate)
+        for c, term in form:
+            if term == ("zeta", e):
+                zeta += c
+            elif term == ("pi", e):
+                for rate, t in triple_for("pi", e).weights():
+                    series[rate] += c * t
+            else:
+                kind, n, rate, plus_one, weights = term
+                assert (kind, n, plus_one) == ("S", e, False)
+                for s, w in weights:
+                    series[rate * s] += c * w
+        assert set(series) <= {1, 2, 4}
+        solved = tuple(-series[rate] / zeta for rate in (1, 2, 4))
+        assert solved == triple_for("zeta", e).coefficients(), e

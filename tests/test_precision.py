@@ -187,3 +187,10 @@ def test_decimal_string_renders_a_fraction():
     assert decimal_string(Fraction(1, 3), 5) == "0.33333"
     assert decimal_string(Fraction(5, 2), 1) == "2"  # the exact tie rounds half to even
     assert decimal_string(Fraction(-7, 2), 1) == "-4"
+
+
+def test_decimal_string_rounds_a_fraction_once():
+    # within 10**-41 of a tie: rounding first to sig_digits + 30 places would
+    # land on the tie and then round it half to even the wrong way
+    assert decimal_string(Fraction(25 * 10 ** 40 + 1, 10 ** 41), 1) == "3"
+    assert decimal_string(Fraction(35 * 10 ** 40 - 1, 10 ** 41), 1) == "3"
