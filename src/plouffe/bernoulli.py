@@ -20,7 +20,8 @@ coefficient sums F, G and H are each computed once per process.
 """
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -129,11 +130,17 @@ def memo_preload(values):
 # and divided by top! once, which keeps the factorials out of every partial sum.
 
 def _pair_sum(top, step, ratio):
-    """sum_k ratio^k C(top, step k) B_(step k) B_(top - step k) / top!, over step k <= top."""
-    return sum(
-        ratio ** k * comb(top, step * k) * bernoulli(step * k) * bernoulli(top - step * k)
-        for k in range(top // step + 1)
-    ) / factorial(top)
+    """sum_k ratio^k C(top, step k) B_(step k) B_(top - step k) / top!, over step k <= top.
+
+    Summed in integers: each B_j becomes the integer L B_j with
+    L = lcm(den B_0..B_top), and one Fraction over L^2 top! is reduced at the end.
+    """
+    values = [bernoulli(j) for j in range(top + 1)]
+    common = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (common // v.denominator) for v in values]
+    total = sum(ratio ** k * comb(top, step * k) * scaled[step * k] * scaled[top - step * k]
+                for k in range(top // step + 1))
+    return Fraction(total, common * common * factorial(top))
 
 
 @cache
@@ -191,16 +198,11 @@ def e_coeff(m):
     return e
 
 
-@dataclass(frozen=True)
-class CoefficientTriple:
+class CoefficientTriple(namedtuple("CoefficientTriple", "target exponent a b c")):
     """Exact rationals (a, b, c) with target = a S_n(1) + b S_n(2) + c S_n(4);
     :meth:`weights` is the one place that pairs them with the rates 1, 2, 4."""
 
-    target: Target
-    exponent: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ()
 
     def coefficients(self):
         return (self.a, self.b, self.c)
@@ -262,3 +264,12 @@ def triple_for(target, exponent):
         triple = (scale * x + s for x, s in zip(triple, shift))
 
     return CoefficientTriple(target, exponent, *triple)
+
+
+def format_rational(q):
+    """Fully reduced "p/q" string, or a bare integer when q == 1; no int
+    passes through str(), so Python's int/str digit limit never applies."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"

@@ -15,20 +15,14 @@ numbers are recomputed.
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
-import mpmath as mp
-
-from .bernoulli import Target, bernoulli, memo_preload, memo_snapshot, triple_for
-from .identities import target_term, term_values, verify_all
-from .precision import GUARD, PrecisionReal, agreement_digits, format_rational
-from .relations import RelationNotFoundError, rediscover_triple
-from .series import eval_pi_power, eval_zeta_odd
+# The mpmath-backed layers, json and tempfile are imported where they are
+# used, so that coeffs, table and bernoulli start without them.
+from .bernoulli import Target, bernoulli, format_rational, memo_preload, memo_snapshot, triple_for
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
 
@@ -88,6 +82,8 @@ def _emit(args, record, rendered_lines):
     wall_ms = int((time.monotonic() - args._t0) * 1000)
     fmt = getattr(args, "format", "plain")
     if fmt == "json":
+        import json
+
         if args.timing:
             record["wall_time_ms"] = wall_ms
         print(json.dumps(record, indent=2))
@@ -112,6 +108,8 @@ def _cmd_coeffs(args):
 
 
 def _cmd_eval(args):
+    from .series import eval_pi_power, eval_zeta_odd
+
     target = Target(args.target)
     if target is Target.PI_POWER:
         value = eval_pi_power(args.exponent, args.digits)
@@ -121,6 +119,9 @@ def _cmd_eval(args):
     result = {"value": text}
     lines = [text]
     if args.check:
+        from .identities import target_term, term_values
+        from .precision import GUARD, PrecisionReal, agreement_digits
+
         term = target_term(target, args.exponent)
         oracle = PrecisionReal(term_values([term], args.digits + GUARD)[term], args.digits)
         agree = min(agreement_digits(value, oracle), args.digits)
@@ -133,13 +134,25 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
+    import json
+
+    from .identities import verify_all
+
     reports = verify_all(args.max_m, args.digits)
     _emit(args, None, {"plain": [json.dumps([r.to_json_dict() for r in reports], indent=2)]})
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_discover(args):
-    result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits)
+    import mpmath as mp
+
+    from .relations import RelationNotFoundError, rediscover_triple
+
+    try:
+        result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits)
+    except RelationNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     vector_text = "[" + ", ".join(format_rational(q) for q in (-1, *triple.coefficients())) + "]"
     formula = _formula(triple)
     record = {
@@ -204,6 +217,8 @@ def _save_cache(path, entries_in_file):
     snapshot = memo_snapshot()
     if len(snapshot) <= entries_in_file:
         return
+    import tempfile
+
     temp_path = None
     try:
         directory = os.path.dirname(os.path.abspath(path))
@@ -316,7 +331,7 @@ def _run(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RelationNotFoundError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -19,7 +19,7 @@ accurate to 10**-(digits + GUARD).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -29,13 +29,8 @@ from .precision import GUARD, PrecisionReal, to_mpf
 from .series import _s_raw, _zeta_ref_raw
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    identity: str
-    parameters: dict
-    residual: PrecisionReal
-    digits: int
-    passed: bool
+class ResidualReport(namedtuple("ResidualReport", "identity parameters residual digits passed")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

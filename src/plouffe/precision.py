@@ -12,11 +12,12 @@ once constructed; note that mpmath's precision context is process-global,
 so concurrent evaluation should use separate processes.
 """
 
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
 import mpmath as mp
+
+from .bernoulli import format_rational  # noqa: F401  (public here too; its home imports no mpmath)
 
 GUARD = 20  # decimal places computed beyond the requested digits
 
@@ -30,16 +31,34 @@ def to_mpf(value):
     return mp.mpf(value)
 
 
-@dataclass(frozen=True)
 class PrecisionReal:
-    """Real number accurate to an absolute error below ``10**-digits``."""
+    """Real number accurate to an absolute error below ``10**-digits``.
 
-    mpf: mp.mpf
-    digits: int
+    Immutable, with field-wise == and hash.  Not a tuple: a tuple
+    coefficient in `identities` is a (rho, j) pair.
+    """
 
-    def __post_init__(self):
-        if self.digits < 1:
+    __slots__ = ("mpf", "digits")
+
+    def __init__(self, mpf, digits):
+        if digits < 1:
             raise ValueError("digits must be >= 1")
+        object.__setattr__(self, "mpf", mpf)
+        object.__setattr__(self, "digits", digits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mpf, self.digits) == (other.mpf, other.digits)
+
+    def __hash__(self):
+        return hash((self.mpf, self.digits))
 
     def to_decimal_string(self):
         """Decimal string with exactly ``digits`` significant digits
@@ -112,12 +131,3 @@ def agreement_digits(a, b):
         if diff == 0:
             return 10 ** 6
         return int(mp.floor(-mp.log10(diff)))
-
-
-def format_rational(q):
-    """Fully reduced "p/q" string, or a bare integer when q == 1; no int
-    passes through str(), so Python's int/str digit limit never applies."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(Decimal(q.numerator))
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"

@@ -17,7 +17,7 @@ stopped.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -34,14 +34,10 @@ class RelationNotFoundError(RuntimeError):
     """No integer relation was detected within the configured bounds."""
 
 
-@dataclass(frozen=True)
-class RelationResult:
-    vector: tuple
-    residual: PrecisionReal
-    iterations: int
-    found: bool
-    norm_bound: float
-    stop: str  # "found", "insufficient precision", "norm bound" or "iteration cap"
+class RelationResult(namedtuple("RelationResult", "vector residual iterations found norm_bound stop")):
+    """`stop` is "found", "insufficient precision", "norm bound" or "iteration cap"."""
+
+    __slots__ = ()
 
 
 def _canonical(vector):

@@ -18,7 +18,7 @@ evidence rather than a tautology.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -27,21 +27,20 @@ from .bernoulli import Target, triple_for
 from .precision import GUARD, PrecisionReal, to_mpf
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Evaluation request: exponent n >= 1, rate r > 0, decimal digits D."""
+class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
+    """Evaluation request: exponent n >= 1, rate r > 0 (int, Fraction, float
+    or mpf), decimal digits D."""
 
-    n: int
-    r: object  # int, Fraction, float or mpf; any positive rate
-    digits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __new__(cls, n, r, digits):
+        if not isinstance(n, int) or n < 1:
             raise ValueError("series exponent n must be an integer >= 1")
-        if float(self.r) <= 0:
+        if float(r) <= 0:
             raise ValueError("series rate r must be positive")
-        if self.digits < 1:
+        if digits < 1:
             raise ValueError("digits must be >= 1")
+        return super().__new__(cls, n, r, digits)
 
 
 def truncation_index(n, rate, target_digits, weight=1):

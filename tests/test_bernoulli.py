@@ -250,6 +250,20 @@ def test_sums_match_their_factorial_form():
         assert h_sum(m) == pair_sum(lambda i: Fraction(-4) ** (m + i // 4), top, range(0, top, 4))
 
 
+def test_pair_sums_match_a_fraction_by_fraction_sum():
+    def reference(top, step, ratio):
+        return sum(
+            ratio ** k * math.comb(top, step * k) * bernoulli(step * k) * bernoulli(top - step * k)
+            for k in range(top // step + 1)
+        ) / math.factorial(top)
+
+    for n in range(201):
+        assert f_sum(n) == reference(2 * n + 2, 2, -1), n
+        assert g_sum(n) == reference(2 * n + 2, 2, -4), n
+    for m in range(101):
+        assert h_sum(m) == (-4) ** m * reference(4 * m + 2, 4, -4), m
+
+
 def test_d_coeff_values():
     assert d_coeff(1) == Fraction(1, 180)
     assert d_coeff(2) == Fraction(13, 14175)

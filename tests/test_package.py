@@ -1,0 +1,169 @@
+"""The package's import cost and public surface.
+
+Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
+are exact Fraction arithmetic and start without mpmath, dataclasses or
+inspect.  The package resolves the names of its mpmath-backed layers on
+first access, with the same objects as their home modules.  The record
+types keep the value semantics of frozen dataclasses.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+import plouffe
+from plouffe.bernoulli import CoefficientTriple, Target, triple_for
+from plouffe.identities import ResidualReport
+from plouffe.precision import PrecisionReal
+from plouffe.relations import RelationResult
+from plouffe.series import SeriesSpec
+
+# Runs the commands (each one argv string) in one fresh interpreter and
+# prints, as its last stderr line, the modules loaded past the ones the
+# interpreter itself preloads.
+CHILD = """
+import sys
+before = set(sys.modules)
+import plouffe
+if sys.argv[1:]:
+    from plouffe.cli import main
+    for command in sys.argv[1:]:
+        main(command.split())
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+EXACT_ONLY = {"mpmath", "dataclasses", "inspect"}
+
+
+def loaded_by(*commands):
+    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
+    proc = subprocess.run([sys.executable, "-c", CHILD, *commands],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("command, formats", [
+    ("coeffs zeta 9", ("plain", "csv", "latex", "json")),
+    ("table --max-m 2", ("plain", "csv", "latex", "json")),
+    ("bernoulli 30", ("plain", "json")),
+])
+def test_exact_commands_import_only_what_they_use(tmp_path, command, formats):
+    for fmt in formats:
+        cache = tmp_path / f"{fmt}.cache"
+        # without a cache, then writing one, then reading it back
+        runs = [f"{command} --format {fmt}"] + [f"{command} --format {fmt} --cache {cache}"] * 2
+        loaded = loaded_by(*runs)
+        assert cache.exists()
+        assert not loaded & EXACT_ONLY, (runs, loaded & EXACT_ONLY)
+        if fmt != "json":
+            assert "json" not in loaded, runs
+
+
+@pytest.mark.parametrize("command", [
+    "eval zeta 3 --digits 20 --check --format json",
+    "verify --max-m 1 --digits 10",
+    "discover pi 3 --digits 50",
+])
+def test_mpmath_commands_import_no_dataclasses(command):
+    loaded = loaded_by(command)
+    assert "mpmath" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_a_bare_import_loads_no_mpmath():
+    assert "mpmath" not in loaded_by()
+
+
+# In a fresh interpreter, where no name has been resolved yet.
+LAZY_API = """
+import sys
+import plouffe
+assert plouffe.bernoulli is sys.modules["plouffe.bernoulli"].bernoulli
+import plouffe.series
+assert plouffe.bernoulli is sys.modules["plouffe.bernoulli"].bernoulli
+for name in plouffe.__all__:
+    value = getattr(plouffe, name)
+    assert value.__module__.startswith("plouffe."), name
+    assert value is getattr(sys.modules[value.__module__], name), name
+import plouffe.precision
+assert plouffe.format_rational is plouffe.precision.format_rational
+namespace = {}
+exec("from plouffe import *", namespace)
+assert set(plouffe.__all__) <= set(namespace), set(plouffe.__all__) - set(namespace)
+"""
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    proc = subprocess.run([sys.executable, "-c", LAZY_API], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        plouffe.no_such_name
+    assert not hasattr(plouffe, "eval_pi")
+
+
+def records():
+    """Pairs of distinct but equal records, one of each type."""
+    value = PrecisionReal(mp.mpf(1) / 3, 5)
+    same_value = PrecisionReal(mp.mpf(1) / 3, 5)
+    return [
+        (triple_for("zeta", 3), CoefficientTriple(Target.ZETA_VALUE, 3, Fraction(28), Fraction(-37),
+                                                  Fraction(7))),
+        (value, same_value),
+        (SeriesSpec(1, 2, 5), SeriesSpec(1, Fraction(2), 5)),
+        (RelationResult((2, -1), value, 1, True, 2.5, "found"),
+         RelationResult((2, -1), same_value, 1, True, 2.5, "found")),
+    ]
+
+
+def test_records_compare_and_hash_by_field():
+    for left, right in records():
+        assert left is not right
+        assert left == right and not left != right
+        assert hash(left) == hash(right)
+    assert PrecisionReal(mp.mpf(1), 5) != PrecisionReal(mp.mpf(1), 6)
+    assert PrecisionReal(mp.mpf(1), 5) != PrecisionReal(mp.mpf(2), 5)
+    assert SeriesSpec(1, 2, 5) != SeriesSpec(3, 2, 5)
+    report = ResidualReport("ramanujan", {"n": 3}, PrecisionReal(mp.mpf(0), 5), 5, True)
+    assert report == ResidualReport("ramanujan", {"n": 3}, PrecisionReal(mp.mpf(0), 5), 5, True)
+    assert report != ResidualReport("ramanujan", {"n": 5}, PrecisionReal(mp.mpf(0), 5), 5, True)
+
+
+def test_records_reject_assignment():
+    report = ResidualReport("ramanujan", {"n": 3}, PrecisionReal(mp.mpf(0), 5), 5, True)
+    for record in [left for left, _ in records()] + [report]:
+        with pytest.raises(AttributeError):
+            setattr(record, "digits", 7)
+        with pytest.raises(AttributeError):
+            setattr(record, "extra", 7)
+    with pytest.raises(AttributeError):
+        del PrecisionReal(mp.mpf(1), 5).digits
+
+
+def test_records_raise_the_same_errors():
+    with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
+        PrecisionReal(mp.mpf(1), 0)
+    with pytest.raises(ValueError, match=r"^series exponent n must be an integer >= 1$"):
+        SeriesSpec(0, 1, 5)
+    with pytest.raises(ValueError, match=r"^series rate r must be positive$"):
+        SeriesSpec(1, 0, 5)
+    with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
+        SeriesSpec(1, 1, 0)
+
+
+def test_record_reprs():
+    with mp.workdps(40):
+        value = PrecisionReal(mp.mpf(1) / 3, 40)
+    assert repr(value) == "PrecisionReal(0.333333333333333333333333333333, digits=40)"
+    assert repr(PrecisionReal(mp.mpf(2) / 3, 5)) == "PrecisionReal(0.66667, digits=5)"
+    assert repr(triple_for("zeta", 3)) == (
+        "CoefficientTriple(target=<Target.ZETA_VALUE: 'zeta'>, exponent=3, "
+        "a=Fraction(28, 1), b=Fraction(-37, 1), c=Fraction(7, 1))")
+    assert repr(SeriesSpec(1, 2, 5)) == "SeriesSpec(n=1, r=2, digits=5)"
