@@ -34,13 +34,5 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientTriple", "PrecisionReal", "RelationNotFoundError", "RelationResult",
-    "ResidualReport", "SeriesSpec", "Target", "agreement_digits", "apery_zeta3", "bernoulli",
-    "d_coeff", "decimal_string", "e_coeff", "eval_pi_power", "eval_zeta_odd", "f_sum",
-    "format_rational", "g_sum", "h_sum", "k_coeff", "min_digits_for", "pi_const", "pslq",
-    "ramanujan_residual", "rediscover_triple", "s1_closed_form", "s_series",
-    "symmetric_point_residual", "triple_for", "triple_residual", "truncation_index",
-    "ts_identity_residual", "verify_all", "vepstas_residual", "zeta_4m1_residual",
-    "zeta_reference",
-]
+__all__ = sorted(["CoefficientTriple", "Target", "bernoulli", "d_coeff", "e_coeff", "f_sum",
+                  "format_rational", "g_sum", "h_sum", "k_coeff", "triple_for", *_HOME])

@@ -16,8 +16,10 @@ numbers are recomputed.
 import argparse
 import contextlib
 import os
+import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 # The mpmath-backed layers, json and tempfile are imported where they are
@@ -43,10 +45,11 @@ def _target_head(target, exponent, latex=False):
 
 
 def _coeff_text(q, latex=False):
-    q = abs(Fraction(q))
-    if latex and q.denominator != 1:
-        return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
-    return format_rational(q)
+    text = format_rational(abs(Fraction(q)))
+    if latex and "/" in text:
+        numerator, denominator = text.split("/")
+        return rf"\frac{{{numerator}}}{{{denominator}}}"
+    return text
 
 
 def _formula(triple, latex=False):
@@ -202,7 +205,12 @@ def _load_cache(path):
                     if not line:
                         continue
                     index_text, value_text = line.split()
-                    entries[int(index_text)] = Fraction(value_text)
+                    # "p" or "p/q" through Decimal, since int(str) stops at Python's digit limit
+                    parts = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", value_text)
+                    if parts is None:
+                        raise ValueError(f"not an exact rational: {value_text!r}")
+                    numerator, denominator = (int(Decimal(part)) for part in parts.groups("1"))
+                    entries[int(index_text)] = Fraction(numerator, denominator)
             if entries and sorted(entries) == list(range(len(entries))):
                 if memo_preload([entries[i] for i in range(len(entries))]):
                     return len(entries)
@@ -225,7 +233,7 @@ def _save_cache(path, entries_in_file):
         fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".plouffe-cache-")
         with os.fdopen(fd, "w", encoding="ascii") as handle:
             for index, value in enumerate(snapshot):
-                handle.write(f"{index} {value.numerator}/{value.denominator}\n")
+                handle.write(f"{index} {Decimal(value.numerator)}/{Decimal(value.denominator)}\n")
         os.replace(temp_path, path)
         temp_path = None
     except (OSError, ValueError) as exc:
@@ -301,12 +309,6 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    # Cache files pass B_k through int() and str(), past Python's default
-    # 4300-digit limit from k = 2064 on; lift it for this command only, so
-    # in-process callers keep their own setting (Python < 3.10.7 has none).
-    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved_limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         code = _run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
@@ -317,9 +319,6 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    finally:
-        if saved_limit is not None:
-            sys.set_int_max_str_digits(saved_limit)
 
 
 def _run(args):

@@ -91,17 +91,13 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     whatever the size of v.  H is the only floating-point quantity.  It and
     every decision read from it (the row m, the multipliers t, the rotation
     and the norm bound) run at
-    p = 128 + 2 * bitlen(max(|A|, |B|)) bits, since those decisions read
-    only H's leading bits.  H = A H_x Q throughout, for the H_x of X and an
-    orthogonal Q, so H is the L factor of A H_x up to column signs, which
-    change neither |H_jj| nor H_ij / H_jj.  Only `rebuild` makes H, from
-    that exact product by a Givens LQ at the current p: at the start from
-    A = I, where H_x is already lower trapezoidal, and whenever
-    bitlen(max(|A|, |B|)) has grown by 8 since the last rebuild.  Once p
-    exceeds half the working precision, H runs at the working precision and
-    A is dropped: from there on, and from the start at small digits, nothing
-    is rebuilt, since an mpf operation then costs about the same at either
-    precision.
+    p = min(128 + 2 * bitlen(max(|A|, |B|)), working precision) bits, since
+    those decisions read only H's leading bits.  H = A H_x Q throughout, for
+    the H_x of X and an orthogonal Q, so H is the L factor of A H_x up to
+    column signs, which change neither |H_jj| nor H_ij / H_jj.  Only
+    `rebuild` makes H, from that exact product by a Givens LQ at the current
+    p: at the start from A = I, where H_x is already lower trapezoidal, and
+    whenever bitlen(max(|A|, |B|)) has grown by 8 since the last rebuild.
 
     Why the reported norm bound is still a lower bound: 1/max|H_jj| bounds
     the norm of every relation for the exact H of the current integer state
@@ -112,10 +108,9 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     much as A and B grow, use up little of the 128 bits p holds beyond
     2 * bitlen(max(|A|, |B|)): just before a rebuild the carried |H_jj|
     were correct to at least 112 bits on inputs of 300 to 2005 digits, far
-    more than the 53 bits the bound is reported in.  An H carried at a fixed
-    precision with no rebuild has no such margin: its errors grow with A
-    and B until its diagonal bounds nothing, and it reports "norm bound"
-    past relations that exist.
+    more than the 53 bits the bound is reported in.  Where the working
+    precision caps p, H runs at the precision the inputs were rounded to,
+    and the rebuilds still clear its error every 8 bits of growth.
     """
     n = len(values)
     if n < 2:
@@ -153,12 +148,9 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         hx_cols = [[int(mp.ldexp(row[j], -e0)) for row in hx] for j in range(n - 1)]
 
         def rebuild(size):
-            """H for A and B of `size` bits: the L factor of the exact A H_x at
-            p bits; A is dropped once p is the working precision."""
-            nonlocal A, built, prec
-            built, prec = size, 128 + 2 * size
-            if 2 * prec > work:
-                prec = work
+            """H for A and B of `size` bits: the L factor of the exact A H_x at p bits."""
+            nonlocal built, prec
+            built, prec = size, min(128 + 2 * size, work)
             with mp.workprec(prec):
                 H = [[mp.ldexp(mp.mpf(sum(a * h for a, h in zip(row, col))), e0)
                       for col in hx_cols] for row in A]
@@ -166,8 +158,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                     for c in range(r + 1, n - 1):
                         if H[r][c]:
                             _rotate(H, r, c)
-            if prec == work:
-                A = None
             return H
 
         def reduce_row(i, j_top):
@@ -181,8 +171,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                     H[i][k] -= t * H[j][k]
                 for k in range(n):
                     B[k][j] += t * B[k][i]
-                if A is not None:
-                    A[i] = [a - t * b for a, b in zip(A[i], A[j])]
+                A[i] = [a - t * b for a, b in zip(A[i], A[j])]
 
         B = [[int(i == j) for j in range(n)] for i in range(n)]
         A, built, prec = [row[:] for row in B], None, None  # B = I; rebuild sets the rest
@@ -195,10 +184,9 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         iterations = 0
         stop = "insufficient precision"  # unless a break below says otherwise
         while True:
-            if A is not None:
-                size = max(abs(v) for row in A + B for v in row).bit_length()
-                if size >= built + 8:
-                    H = rebuild(size)
+            size = max(abs(v) for row in A + B for v in row).bit_length()
+            if size >= built + 8:
+                H = rebuild(size)
             y_min, idx = min((abs(sum(x * b for x, b in zip(X, col))), j)
                              for j, col in enumerate(zip(*B)))
             if y_min <= y_max:
@@ -224,8 +212,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 H[m], H[m + 1] = H[m + 1], H[m]
                 for row in B:
                     row[m], row[m + 1] = row[m + 1], row[m]
-                if A is not None:
-                    A[m], A[m + 1] = A[m + 1], A[m]
+                A[m], A[m + 1] = A[m + 1], A[m]
                 if m < n - 2 and not _rotate(H, m, m + 1):
                     break  # precision exhausted
                 for i in range(m + 1, n):

@@ -15,7 +15,7 @@ import mpmath as mp
 import pytest
 
 from plouffe.bernoulli import Target, triple_for
-from plouffe.cli import build_parser, main
+from plouffe.cli import _load_cache, build_parser, main
 from plouffe.precision import decimal_string, pi_const
 
 bernoulli_module = importlib.import_module("plouffe.bernoulli")  # the package rebinds the name
@@ -302,8 +302,11 @@ def test_readme_flags_are_the_registered_options():
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int<->str digit limit")
-def test_exact_output_past_the_int_str_limit(tmp_path, capsys):
+def test_exact_output_past_the_int_str_limit(tmp_path, capsys, monkeypatch):
     # the lowest limit Python accepts; B_600 and the pi^501 triple exceed it
+    latex_at_default = run_cli(capsys, "coeffs", "pi", "501", "--format", "latex")
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])  # so the cache holds B_0..B_600
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     cache = tmp_path / "big.cache"
@@ -311,6 +314,10 @@ def test_exact_output_past_the_int_str_limit(tmp_path, capsys):
         bernoulli_run = run_cli(capsys, "bernoulli", "600", "--cache", str(cache))
         coeffs_run = run_cli(capsys, "coeffs", "pi", "501")
         assert sys.get_int_max_str_digits() == 640  # restored for the caller
+        assert run_cli(capsys, "coeffs", "pi", "501", "--format", "latex") == latex_at_default
+        monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])  # read back
+        monkeypatch.setattr(bernoulli_module, "_column", [])
+        assert _load_cache(str(cache)) == 601
     finally:
         sys.set_int_max_str_digits(previous)
     code, out, err = bernoulli_run
@@ -321,6 +328,38 @@ def test_exact_output_past_the_int_str_limit(tmp_path, capsys):
     code, out, err = coeffs_run
     assert (code, err) == (0, "")
     assert [Fraction(q) for q in out.split()] == list(triple_for("pi", 501).coefficients())
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int<->str digit limit")
+def test_a_command_runs_under_the_callers_int_str_limit(capsys, monkeypatch):
+    seen = []
+
+    def handler(args):
+        seen.append(sys.get_int_max_str_digits())
+        return 0
+
+    monkeypatch.setattr("plouffe.cli._cmd_bernoulli", handler)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code = run_cli(capsys, "bernoulli", "2")[0]
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, seen) == (0, [1000])
+
+
+@pytest.mark.parametrize("value", ["1/6.5", "1e0/6"])
+def test_cache_with_a_non_integer_notation_is_rejected_and_rewritten(tmp_path, capsys,
+                                                                      monkeypatch, value):
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
+    cache = tmp_path / "notation.cache"
+    cache.write_text(f"0 1/1\n1 -1/2\n2 {value}\n")
+    assert _load_cache(str(cache)) == 0
+    code, out, _ = run_cli(capsys, "bernoulli", "2", "--cache", str(cache))
+    assert (code, out) == (0, "1/6\n")
+    assert cache.read_text() == "0 1/1\n1 -1/2\n2 1/6\n"
 
 
 def failing_replace(*args):

@@ -103,6 +103,13 @@ def test_every_public_name_resolves_to_its_home_object():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_all_is_the_eager_names_and_every_lazy_name():
+    eager = {name for name, value in vars(plouffe).items()
+             if getattr(value, "__module__", None) == "plouffe.bernoulli"}
+    assert len(plouffe.__all__) == len(set(plouffe.__all__))
+    assert set(plouffe.__all__) == eager | set(plouffe._HOME)
+
+
 def test_an_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         plouffe.no_such_name
