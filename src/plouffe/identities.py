@@ -84,6 +84,8 @@ def _run(checks, digits):
     N C).  Each distinct term is evaluated once, to the accuracy the most
     demanding form needs.
     """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     forms = [form for _, _, form in checks]
     accuracy = max(places(digits + GUARD, len(form) * max(abs(_mpf(c)) for c, _ in form))
                    for form in forms)
@@ -111,8 +113,8 @@ def _bernoulli_pair_term(n, k):
 
 
 def _ramanujan(alpha, n):
-    """The check at alpha = rho pi^j, given as (rho, j), or at an exact alpha."""
-    rho, j = alpha if isinstance(alpha, tuple) else (_exact(alpha), 0)
+    """The check at alpha = rho pi^j, given as a plain tuple (rho, j), or at an exact alpha."""
+    rho, j = alpha if type(alpha) is tuple else (_exact(alpha), 0)
     if n < 1:
         raise ValueError("n must be >= 1")
     if rho <= 0:

@@ -7,11 +7,12 @@ absorb rounding noise, so the contract is stated in ``D`` alone.
 
 Exact rational arithmetic is :class:`fractions.Fraction`, which already
 guarantees a reduced numerator/denominator pair with a positive
-denominator.  Real arithmetic is backed by mpmath.  Values are immutable
-once constructed; note that mpmath's precision context is process-global,
-so concurrent evaluation should use separate processes.
+denominator.  Real arithmetic is backed by mpmath.  A value is a named tuple
+(mpf, digits); a (rho, j) pair in `identities` is a plain tuple.  mpmath's
+precision context is process-global, so evaluate concurrently in processes.
 """
 
+from collections import namedtuple
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -31,34 +32,15 @@ def to_mpf(value):
     return mp.mpf(value)
 
 
-class PrecisionReal:
-    """Real number accurate to an absolute error below ``10**-digits``.
+class PrecisionReal(namedtuple("PrecisionReal", "mpf digits")):
+    """Real number accurate to an absolute error below ``10**-digits``."""
 
-    Immutable, with field-wise == and hash.  Not a tuple: a tuple
-    coefficient in `identities` is a (rho, j) pair.
-    """
+    __slots__ = ()
 
-    __slots__ = ("mpf", "digits")
-
-    def __init__(self, mpf, digits):
+    def __new__(cls, mpf, digits):
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        object.__setattr__(self, "mpf", mpf)
-        object.__setattr__(self, "digits", digits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mpf, self.digits) == (other.mpf, other.digits)
-
-    def __hash__(self):
-        return hash((self.mpf, self.digits))
+        return super().__new__(cls, mpf, digits)
 
     def to_decimal_string(self):
         """Decimal string with exactly ``digits`` significant digits

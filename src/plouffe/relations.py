@@ -115,6 +115,8 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     n = len(values)
     if n < 2:
         raise ValueError("pslq needs at least 2 values")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     with mp.workdps(digits + GUARD):
         work = mp.mp.prec
         xs = [to_mpf(v) for v in values]

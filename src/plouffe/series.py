@@ -140,6 +140,8 @@ def s_series(spec):
 def _assemble(triple, digits):
     """a*S(1) + b*S(2) + c*S(4) at absolute error below 10**-(digits + GUARD),
     summed as one weighted q-series."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     value = _s_raw(triple.exponent, 1, digits + GUARD, weights=triple.weights())
     return PrecisionReal(value, digits)
 

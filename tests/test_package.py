@@ -4,23 +4,32 @@ Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
 are exact Fraction arithmetic and start without mpmath, dataclasses or
 inspect.  The package resolves the names of its mpmath-backed layers on
 first access, with the same objects as their home modules.  The record
-types keep the value semantics of frozen dataclasses.
+types keep the value semantics of frozen dataclasses, and they pickle, so a
+process pool can return them.  Public entry points reject digits < 1 before
+they compute anything.
 """
 
+import copy
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 import plouffe
+from plouffe import identities, series
 from plouffe.bernoulli import CoefficientTriple, Target, triple_for
-from plouffe.identities import ResidualReport
+from plouffe.identities import (ResidualReport, ramanujan_residual, symmetric_point_residual,
+                                triple_residual, ts_identity_residual, vepstas_residual,
+                                verify_all, zeta_4m1_residual)
 from plouffe.precision import PrecisionReal
-from plouffe.relations import RelationResult
-from plouffe.series import SeriesSpec
+from plouffe.relations import RelationResult, pslq, rediscover_triple
+from plouffe.series import SeriesSpec, eval_pi_power, eval_zeta_odd
 
 # Runs the commands (each one argv string) in one fresh interpreter and
 # prints, as its last stderr line, the modules loaded past the ones the
@@ -174,3 +183,58 @@ def test_record_reprs():
         "CoefficientTriple(target=<Target.ZETA_VALUE: 'zeta'>, exponent=3, "
         "a=Fraction(28, 1), b=Fraction(-37, 1), c=Fraction(7, 1))")
     assert repr(SeriesSpec(1, 2, 5)) == "SeriesSpec(n=1, r=2, digits=5)"
+
+
+def test_records_survive_pickle_and_copy():
+    report = ResidualReport("ramanujan", {"n": 3}, PrecisionReal(mp.mpf(0), 5), 5, True)
+    values = [left for left, _ in records()] + [report, verify_all(1, 30)[0],
+                                                 rediscover_triple("pi", 1, 40)]
+    for value in values:
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+    for record_type in (CoefficientTriple, PrecisionReal, SeriesSpec, ResidualReport,
+                        RelationResult):
+        assert issubclass(record_type, tuple)
+
+
+def test_a_process_pool_returns_library_values():
+    # spawn: independent of the platform's default start method and of any
+    # threads other tests left running
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        pooled = list(pool.map(eval_pi_power, [1, 3], [30, 30], timeout=120))
+    assert pooled == [eval_pi_power(1, 30), eval_pi_power(3, 30)]
+
+
+# Each public entry point that takes digits, with its other arguments.
+ENTRY_POINTS = [
+    (pslq, ([1, 2],)),
+    (verify_all, (1,)),
+    (ramanujan_residual, ((Fraction(1), 1), 1)),
+    (symmetric_point_residual, (1,)),
+    (zeta_4m1_residual, (1,)),
+    (vepstas_residual, (1,)),
+    (ts_identity_residual, (3, 1)),
+    (triple_residual, ("zeta", 3)),
+    (eval_pi_power, (3,)),
+    (eval_zeta_odd, (3,)),
+]
+
+
+@pytest.mark.parametrize("digits", [0, -3])
+@pytest.mark.parametrize("function, args", ENTRY_POINTS)
+def test_entry_points_reject_digits_below_one(function, args, digits):
+    with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
+        function(*args, digits)
+
+
+@pytest.mark.parametrize("function, args", ENTRY_POINTS)
+def test_entry_points_reject_digits_before_computing(monkeypatch, function, args):
+    def computed(*_):
+        raise AssertionError("computed before rejecting digits")
+
+    monkeypatch.setattr(identities, "term_values", computed)
+    monkeypatch.setattr(series, "_s_raw", computed)
+    with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
+        function(*args, 0)
