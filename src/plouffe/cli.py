@@ -22,8 +22,9 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-# The mpmath-backed layers, json and tempfile are imported where they are
-# used, so that coeffs, table and bernoulli start without them.
+# The other layers, json and tempfile are imported where they are used, so
+# that coeffs, table and bernoulli start without them, and eval without mpmath
+# unless it checks.
 from .bernoulli import Target, bernoulli, format_rational, memo_preload, memo_snapshot, triple_for
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
@@ -111,28 +112,28 @@ def _cmd_coeffs(args):
 
 
 def _cmd_eval(args):
-    from .series import eval_pi_power, eval_zeta_odd
+    from .fixed import GUARD, decimal_string, q_series
 
-    target = Target(args.target)
-    if target is Target.PI_POWER:
-        value = eval_pi_power(args.exponent, args.digits)
-    else:
-        value = eval_zeta_odd(args.exponent, args.digits)
-    text = value.to_decimal_string()
+    triple = triple_for(Target(args.target), args.exponent)
+    mantissa, prec = q_series(args.exponent, 1, args.digits + GUARD, weights=triple.weights())
+    text = decimal_string(mantissa, args.digits, -prec)
     result = {"value": text}
     lines = [text]
+    row = [args.target, str(args.exponent), str(args.digits), text]
     if args.check:
         from .identities import target_term, term_values
-        from .precision import GUARD, PrecisionReal, agreement_digits
+        from .precision import PrecisionReal, agreement_digits, from_fixed
 
-        term = target_term(target, args.exponent)
+        term = target_term(triple.target, args.exponent)
         oracle = PrecisionReal(term_values([term], args.digits + GUARD)[term], args.digits)
+        value = PrecisionReal(from_fixed(mantissa, prec), args.digits)
         agree = min(agreement_digits(value, oracle), args.digits)
         result["oracle_agreement_digits"] = agree
         lines.append(f"agrees with oracle to >={agree} digits")
+        row.append(str(agree))
     record = {"command": "eval", "inputs": {"target": args.target, "exponent": args.exponent},
               "result": result, "digits": args.digits}
-    _emit(args, record, {"plain": lines, "csv": [f"{args.target},{args.exponent},{args.digits},{text}"]})
+    _emit(args, record, {"plain": lines, "csv": [",".join(row)]})
     return 0
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
+from .fixed import ratio
 from .precision import GUARD, PrecisionReal, to_mpf
 from .series import _s_raw, _zeta_ref_raw
 
@@ -102,8 +103,7 @@ def _run(checks, digits):
 
 def _exact(x):
     """x as an exact Fraction (an mpf is a dyadic rational)."""
-    x = x.mpf if isinstance(x, PrecisionReal) else x
-    return Fraction(*mp.libmp.to_rational(x._mpf_)) if isinstance(x, mp.mpf) else Fraction(x)
+    return Fraction(*ratio(x.mpf if isinstance(x, PrecisionReal) else x))
 
 
 def _bernoulli_pair_term(n, k):

@@ -13,14 +13,13 @@ precision context is process-global, so evaluate concurrently in processes.
 """
 
 from collections import namedtuple
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
 import mpmath as mp
 
-from .bernoulli import format_rational  # noqa: F401  (public here too; its home imports no mpmath)
-
-GUARD = 20  # decimal places computed beyond the requested digits
+# public here too; their homes import no mpmath
+from .bernoulli import format_rational  # noqa: F401
+from .fixed import GUARD, decimal_string  # noqa: F401
 
 
 def to_mpf(value):
@@ -32,6 +31,11 @@ def to_mpf(value):
     return mp.mpf(value)
 
 
+def from_fixed(mantissa, prec):
+    """mantissa 2^-prec as an exact mpf, not rounded to the context."""
+    return mp.make_mpf(mp.libmp.from_man_exp(mantissa, -prec))
+
+
 class PrecisionReal(namedtuple("PrecisionReal", "mpf digits")):
     """Real number accurate to an absolute error below ``10**-digits``."""
 
@@ -41,6 +45,10 @@ class PrecisionReal(namedtuple("PrecisionReal", "mpf digits")):
         if digits < 1:
             raise ValueError("digits must be >= 1")
         return super().__new__(cls, mpf, digits)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks as the constructor does
 
     def to_decimal_string(self):
         """Decimal string with exactly ``digits`` significant digits
@@ -65,41 +73,6 @@ def pi_const(digits):
         raise ValueError("digits must be >= 1")
     with mp.workdps(digits + GUARD):
         return PrecisionReal(+mp.pi, digits)
-
-
-def decimal_string(x, sig_digits):
-    """Render an mpf, or anything `Fraction` takes, with exactly
-    ``sig_digits`` significant digits.
-
-    The value is one exact ratio of integers (an mpf is man * 2**exp), and
-    one half-even decimal division at ``sig_digits`` rounds it, so the digit
-    string is a deterministic function of the value.  Trailing zeros are
-    kept: the digit count is part of the contract.  No int passes through
-    str(), so Python's int/str digit limit never applies.
-    """
-    if sig_digits < 1:
-        raise ValueError("sig_digits must be >= 1")
-    if isinstance(x, mp.mpf):
-        if not mp.isfinite(x):
-            raise ValueError(f"cannot render non-finite value {x!r}")
-        # from the raw (sign, mantissa, exponent) triple: any mpmath arithmetic
-        # here would silently re-round the value at the ambient precision
-        num, den = map(int, mp.libmp.to_rational(x._mpf_))
-    else:
-        num, den = Fraction(x).as_integer_ratio()
-    if num == 0:
-        return "0"
-    with localcontext() as ctx:
-        ctx.prec = sig_digits
-        ctx.rounding = ROUND_HALF_EVEN
-        # the one rounding; a carry (9.99... -> 10.0...) moves the exponent
-        rounded = Decimal(num) / Decimal(den)
-        target = rounded.adjusted() - sig_digits + 1
-        r = rounded.quantize(Decimal(1).scaleb(target))  # pads trailing zeros, exactly
-    if target > 0:
-        # fewer requested digits than integer places: keep the count visible
-        return format(r, "e")
-    return format(r, "f")
 
 
 def agreement_digits(a, b):

@@ -235,6 +235,8 @@ def rediscover_triple(target, exponent, digits):
     so the target's coefficient is -1, and checks the recovered rationals
     against the exact closed-form triple.  Returns (RelationResult, triple).
     """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     target = Target(target)
     expected = triple_for(target, exponent)  # validates target/exponent
 

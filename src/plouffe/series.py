@@ -5,11 +5,12 @@ independent zeta oracles for cross-checking.
 With q = e^(-pi r), S_n(s r) = sum_k 1/(k^n (e^(pi s r k) - 1)) is the power
 series sum_{s|M} sigma_{-n}(M/s) q^M, sigma_{-n}(m) = sum_{d|m} d^(-n).  So a
 rational combination such as a S_n(1) + b S_n(2) + c S_n(4) is one q-series,
-summed once in fixed-point integers (:func:`_s_raw`) up to a proven tail
-bound (:func:`truncation_index`), with no full-precision division.  Its N
-small rational coefficients make it a polynomial in one fixed q, which
-rectangular splitting evaluates with about 2 sqrt(N) full multiplies and N
-scalar operations, each linear in the working precision.
+summed once in fixed-point integers (`fixed.q_series`, wrapped by
+:func:`_s_raw`) up to a proven tail bound (:func:`truncation_index`), with no
+full-precision division.  Its N small rational coefficients make it a
+polynomial in one fixed q, which rectangular splitting evaluates with about
+2 sqrt(N) full multiplies and N scalar operations, each linear in the
+working precision.
 
 Oracle independence: :func:`zeta_reference` (accelerated alternating eta
 series) and :func:`apery_zeta3` share no code path with the S/T series or
@@ -24,7 +25,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, triple_for
-from .precision import GUARD, PrecisionReal, to_mpf
+from .fixed import q_series, ratio, truncation_index  # noqa: F401  (public here too)
+from .precision import GUARD, PrecisionReal, from_fixed
 
 
 class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
@@ -42,93 +44,17 @@ class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
             raise ValueError("digits must be >= 1")
         return super().__new__(cls, n, r, digits)
 
-
-def truncation_index(n, rate, target_digits, weight=1):
-    """Smallest term count N whose proven q-series tail bound is below
-    10**-target_digits, for weights w_s with sum |w_s| = weight.
-
-    The coefficient of q^M is sum_{s|M} w_s sigma_{-n}(M/s), and for every
-    n >= 1, sigma_{-n}(m) <= sum_{d<=m} 1/d <= 1 + ln m.  With ln M <= ln(N+1)
-    + (M-N-1)/(N+1) for M > N and sum_i i q^i = q/(1-q)^2, the tail is at most
-
-        weight q^(N+1)/(1-q) (1 + ln(N+1) + q/((1-q)(N+1))).
-    """
-    rate = float(rate)
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    log10_q = -math.pi * rate / math.log(10)  # not log10(exp(...)), which underflows at large rates
-    one_minus_q = -math.expm1(-math.pi * rate)
-    budget = -target_digits - math.log10(weight) + math.log10(one_minus_q)
-    terms = max(1, math.floor(budget / log10_q) - 1)  # the log factor is >= 1
-    while (terms + 1) * log10_q + math.log10(
-            1 + math.log(terms + 1) + (1 - one_minus_q) / (one_minus_q * (terms + 1))) >= budget:
-        terms += 1
-    return terms
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks as the constructor does
 
 
 def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)):
-    """sum_s w_s S_n(s r) (T_n with plus_one) for nonzero rational w_s and
-    integers s >= 1, as an exact mpf with absolute error below 10**-target_digits.
-
-    The sum is the polynomial sum_{m<=N} a_m q^m with a_m = c_m / (L m^n),
-    c_m = sum_s L w_s s^n sigma_n(m/s) and L the common denominator of the
-    w_s.  For T_n, 1/(e^x + 1) = sum_j (-1)^(j-1) e^(-jx) turns
-    sigma_n(m) = sum_{jk=m} j^n into sum_{jk=m} (-1)^(j-1) j^n.
-
-    Rectangular splitting (Paterson & Stockmeyer 1973; Brent & Zimmermann,
-    Modern Computer Arithmetic, 4.4.3), in integers scaled by 2^prec: with
-    k = isqrt(N), Q_j = q^j 2^prec for j = 0..k, and block i holding the terms
-    m = i k + j, 0 <= j < k, the block sum is sum_j c_m Q_j // (L m^n), and the
-    blocks are combined by Horner in q^k from the last one down.  Block i is
-    later multiplied by q^(ik) = 2^(-ik log2(1/q)), so it is summed with the
-    Q_j cut by cut_i <= ik log2(1/q) bits, as is the q^k of its Horner step.
-    That costs about 2k full multiplies (the Q_j and the Horner steps) and N
-    scalar multiplies and divisions, each linear in prec.
-
-    Error, in units of 2^-prec: the tail is below 10**-(target_digits+1),
-    and so is the rounding.  Q_1 is off by just over one unit, and Q_j, a
-    floored product of Q_(j-1) and Q_1, by under 3j.  |a_m| <= W = w (1 + ln N)
-    with w = ceil(sum |w_s|), so term m is off by under 3k W + 1 units of
-    its block's scale, the floor included.  A Horner step adds one unit plus
-    |total| (3k + 1), where |total| <= (W + k + 1)/(1-q) bounds any partial
-    Horner sum.  Each later step multiplies earlier errors by the cut q^k,
-    which is below q^k, so an error of e units at block i's scale
-    2^(cut_i - prec) ends as under e q^(ik) 2^cut_i <= e units.  Summed over
-    N terms and N/k steps, the rounding stays under 17 N k W / (1-q) units.
-
-    Memory: the k + 1 powers Q_j of up to prec bits each (about 1 MB for pi
-    at 20000 digits) and a sieve table of N + 1 divisor sums of about
-    n log2(N) bits each (3.6 MB for S_5(1/100) at 1000 digits).
-    """
-    weights = [(s, Fraction(w)) for s, w in weights]
-    scale = math.lcm(*(w.denominator for _, w in weights))
-    numerators = [(s, int(w * scale) * s ** n) for s, w in weights]
-    weight = math.ceil(sum(abs(w) for _, w in weights))  # an int: past the float range for pi^n, n >= 619
-    terms = truncation_index(n, r, target_digits + 1, weight) + extra_terms
-    k = math.isqrt(terms)
-    slack = 17 * terms * k * weight * math.ceil((1 + math.log(terms)) / -math.expm1(-math.pi * float(r)))
-    prec = math.ceil((target_digits + 1) * math.log2(10) + math.log2(slack))
-    with mp.workprec(prec + 20):
-        q = int(mp.ldexp(mp.exp(-mp.pi * to_mpf(r)), prec))
-    sigma = [0] * (terms + 1)  # sigma[m]: sum of the (signed) d^n over divisors d of m
-    for d in range(1, terms + 1):
-        power = -(d ** n) if plus_one and d % 2 == 0 else d ** n
-        for m in range(d, terms + 1, d):
-            sigma[m] += power
-    powers = [1 << prec, q]  # powers[j] = Q_j
-    for _ in range(k - 1):
-        powers.append(powers[-1] * q >> prec)
-    block_bits = k * math.pi * float(r) / math.log(2)  # log2(1/q^k)
-    total, cut_prev = 0, prec
-    for i in range(terms // k, -1, -1):
-        cut = min(prec, max(0, math.floor(i * block_bits) - 1))  # -1: float error in i * block_bits
-        block = 0
-        for m in range(max(1, i * k), min(terms + 1, i * k + k)):
-            c = sum(v * sigma[m // s] for s, v in numerators if m % s == 0)
-            block += c * (powers[m - i * k] >> cut) // (scale * m ** n)
-        total = (total * (powers[k] >> cut) >> (prec - cut_prev)) + block
-        cut_prev = cut
-    return mp.make_mpf(mp.libmp.from_man_exp(total, -prec))  # exact, not rounded to the context
+    """sum_s w_s S_n(s r) (T_n with plus_one) as an exact mpf with absolute
+    error below 10**-target_digits: `fixed.q_series` at the exact rational
+    of r, an int, Fraction, float or mpf."""
+    return from_fixed(*q_series(n, Fraction(*ratio(r)), target_digits, plus_one, extra_terms,
+                                weights))
 
 
 def s_series(spec):
@@ -177,7 +103,7 @@ def _apery_raw(target_digits):
         total += term if n % 2 else -term
         term = term * n ** 3 // (2 * (n + 1) ** 2 * (2 * n + 1))
         n += 1
-    return mp.make_mpf(mp.libmp.from_man_exp(5 * total >> 1, -prec))
+    return from_fixed(5 * total >> 1, prec)
 
 
 def apery_zeta3(digits):
@@ -212,7 +138,7 @@ def _zeta_ref_raw(s, target_digits):
         acc += (c << prec) // (k + 1) ** s
         b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))  # exact
     zeta = ((acc // d) << (s - 1)) // ((1 << (s - 1)) - 1)  # eta / (1 - 2^(1-s))
-    return mp.make_mpf(mp.libmp.from_man_exp(zeta, -prec))
+    return from_fixed(zeta, prec)
 
 
 def zeta_reference(s, digits):

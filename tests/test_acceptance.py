@@ -12,10 +12,12 @@ Tolerances are pinned here, not calibrated elsewhere:
   6. PSLQ rediscovery from 100-digit inputs in under 10 s; exact triple
      agreement through exponent 9
   7. exponent-1 closed forms to >= 90 digits at D = 100
-  8. structural independence of the zeta oracles from the series assembly
+  8. structural independence of the zeta oracles from the series assembly,
+     and of the assembly's pi from the pi-power oracle's
   9. byte-identical CLI output across identical invocations
 """
 
+import ast
 import inspect
 import math
 import os
@@ -26,6 +28,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+import plouffe.fixed as fixed_module
 import plouffe.series as series_module
 from plouffe.bernoulli import Target, bernoulli, f_sum, triple_for
 from plouffe.identities import (
@@ -164,15 +167,22 @@ def test_criterion_7_closed_forms():
 
 def test_criterion_8_oracle_independence_is_structural():
     # the zeta oracles never touch the Lambert-series evaluator, and the
-    # assembly path never touches the oracles
+    # assembly path, down to the integer kernel, never touches the oracles
     oracle_side = (inspect.getsource(series_module._zeta_ref_raw)
                    + inspect.getsource(series_module._apery_raw))
     assembly_side = (inspect.getsource(series_module._s_raw)
-                     + inspect.getsource(series_module._assemble))
-    assert "_s_raw" not in oracle_side
-    assert "triple_for" not in oracle_side
+                     + inspect.getsource(series_module._assemble)
+                     + inspect.getsource(fixed_module))
+    for name in ("_s_raw", "q_series", "q_fixed", "triple_for"):
+        assert name not in oracle_side, name
     assert "_zeta_ref_raw" not in assembly_side
     assert "_apery_raw" not in assembly_side
+    # the kernel imports no mpmath, so its pi is not the pi-power oracle's
+    tree = ast.parse(inspect.getsource(fixed_module))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"math", "decimal", "fractions"}
     # and the agreement evidence from criteria 2-3 is therefore non-circular
     announce(8, "oracle independence enforced structurally")
 

@@ -85,6 +85,16 @@ def test_eval_zeta3_with_check(capsys):
     assert agreed >= 45
 
 
+def test_eval_csv_check_appends_the_agreement(capsys):
+    argv = ["eval", "zeta", "3", "--digits", "20", "--format"]
+    code, plain, _ = run_cli(capsys, *argv, "csv")
+    assert code == 0 and plain == "zeta,3,20,1.2020569031595942854\n"
+    code, checked, _ = run_cli(capsys, *argv, "csv", "--check")
+    _, record, _ = run_cli(capsys, *argv, "json", "--check")
+    agree = json.loads(record)["result"]["oracle_agreement_digits"]
+    assert code == 0 and checked == f"zeta,3,20,1.2020569031595942854,{agree}\n"
+
+
 DIGIT_PIN_GRID = ([("pi", n, 500) for n in range(1, 14, 2)]
                   + [("zeta", n, 200) for n in range(3, 14, 2)]
                   + [("pi", 1, 4000)]

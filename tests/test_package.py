@@ -1,8 +1,8 @@
 """The package's import cost and public surface.
 
 Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
-are exact Fraction arithmetic and start without mpmath, dataclasses or
-inspect.  The package resolves the names of its mpmath-backed layers on
+are exact Fraction arithmetic, and `eval` without `--check` integer fixed
+point, so they start without mpmath, dataclasses or inspect.  The package resolves the names of its mpmath-backed layers on
 first access, with the same objects as their home modules.  The record
 types keep the value semantics of frozen dataclasses, and they pickle, so a
 process pool can return them.  Public entry points reject digits < 1 before
@@ -22,7 +22,7 @@ import mpmath as mp
 import pytest
 
 import plouffe
-from plouffe import identities, series
+from plouffe import fixed, identities, relations, series
 from plouffe.bernoulli import CoefficientTriple, Target, triple_for
 from plouffe.identities import (ResidualReport, ramanujan_residual, symmetric_point_residual,
                                 triple_residual, ts_identity_residual, vepstas_residual,
@@ -59,6 +59,7 @@ def loaded_by(*commands):
     ("coeffs zeta 9", ("plain", "csv", "latex", "json")),
     ("table --max-m 2", ("plain", "csv", "latex", "json")),
     ("bernoulli 30", ("plain", "json")),
+    ("eval zeta 5 --digits 30", ("plain", "csv", "json")),
 ])
 def test_exact_commands_import_only_what_they_use(tmp_path, command, formats):
     for fmt in formats:
@@ -163,6 +164,18 @@ def test_records_reject_assignment():
         del PrecisionReal(mp.mpf(1), 5).digits
 
 
+def test_replace_checks_as_the_constructor_does():
+    value, spec = PrecisionReal(mp.mpf(1), 5), SeriesSpec(1, 2, 5)
+    assert value._replace(digits=7) == PrecisionReal(mp.mpf(1), 7)
+    assert type(spec._replace(r=4)) is SeriesSpec
+    with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
+        value._replace(digits=0)
+    with pytest.raises(ValueError, match=r"^series exponent n must be an integer >= 1$"):
+        spec._replace(n=0)
+    with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
+        SeriesSpec._make([1, 2, 0])
+
+
 def test_records_raise_the_same_errors():
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         PrecisionReal(mp.mpf(1), 0)
@@ -219,6 +232,7 @@ ENTRY_POINTS = [
     (triple_residual, ("zeta", 3)),
     (eval_pi_power, (3,)),
     (eval_zeta_odd, (3,)),
+    (rediscover_triple, ("pi", 1)),
 ]
 
 
@@ -234,7 +248,11 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
     def computed(*_):
         raise AssertionError("computed before rejecting digits")
 
-    monkeypatch.setattr(identities, "term_values", computed)
+    for module in (identities, relations):
+        monkeypatch.setattr(module, "term_values", computed)
     monkeypatch.setattr(series, "_s_raw", computed)
+    # and the kernel itself, wherever it is bound
+    for module in (fixed, series):
+        monkeypatch.setattr(module, "q_series", computed)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)
