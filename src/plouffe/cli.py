@@ -23,8 +23,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 # The other layers, json and tempfile are imported where they are used, so
-# that coeffs, table and bernoulli start without them, and eval without mpmath
-# unless it checks.
+# that coeffs, table and bernoulli start without them, eval without mpmath
+# unless it checks, and discover without mpmath unless it prints JSON.
 from .bernoulli import Target, bernoulli, format_rational, memo_preload, memo_snapshot, triple_for
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
@@ -148,12 +148,10 @@ def _cmd_verify(args):
 
 
 def _cmd_discover(args):
-    import mpmath as mp
-
-    from .relations import RelationNotFoundError, rediscover_triple
+    from .relations import RelationNotFoundError, _rediscover
 
     try:
-        result, triple = rediscover_triple(Target(args.target), args.exponent, args.digits)
+        result, triple = _rediscover(Target(args.target), args.exponent, args.digits)
     except RelationNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -166,9 +164,15 @@ def _cmd_discover(args):
             "canonical_vector": list(result.vector),
             "formula": formula,
             "iterations": result.iterations,
-            "residual": mp.nstr(result.residual.mpf, 5),
+            "residual": None,
         },
         "digits": args.digits}
+    if args.format == "json":  # only the printed residual needs mpmath
+        import mpmath as mp
+
+        from .precision import from_fixed
+
+        record["result"]["residual"] = mp.nstr(from_fixed(*result.residual), 5)
     _emit(args, record, {"plain": [vector_text, formula]})
     return 0
 
@@ -194,6 +198,17 @@ def _cmd_bernoulli(args):
     return 0
 
 
+def _parse_int(text):
+    """int(text) for decimal digits with an optional "-", parsed by halves
+    of at most 600 digits, so that Python's int/str digit limit never applies."""
+    if text.startswith("-"):
+        return -_parse_int(text[1:])
+    if len(text) <= 600:
+        return int(text)
+    half = len(text) // 2
+    return _parse_int(text[:-half]) * 10 ** half + _parse_int(text[-half:])
+
+
 def _load_cache(path):
     """Seed the Bernoulli memo from a cache file; returns the entry count
     the file contributed (0 for a missing, unreadable, or rejected file)."""
@@ -206,11 +221,10 @@ def _load_cache(path):
                     if not line:
                         continue
                     index_text, value_text = line.split()
-                    # "p" or "p/q" through Decimal, since int(str) stops at Python's digit limit
                     parts = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", value_text)
                     if parts is None:
                         raise ValueError(f"not an exact rational: {value_text!r}")
-                    numerator, denominator = (int(Decimal(part)) for part in parts.groups("1"))
+                    numerator, denominator = (_parse_int(part) for part in parts.groups("1"))
                     entries[int(index_text)] = Fraction(numerator, denominator)
             if entries and sorted(entries) == list(range(len(entries))):
                 if memo_preload([entries[i] for i in range(len(entries))]):

@@ -80,6 +80,13 @@ def q_fixed(r, prec):
     return exp_neg(pi_fixed(bits) * num // (den << (bits - prec - 4)), prec + 4) >> 4
 
 
+def places(target, size=1):
+    """The precision rule: decimal places that keep a quantity of magnitude
+    up to |size| (an int, Fraction or mpf), or an error magnified by |size|,
+    within 10**-target."""
+    return target + max(0, math.ceil(int(abs(size)).bit_length() * math.log10(2)))
+
+
 def truncation_index(n, rate, target_digits, weight=1):
     """Smallest term count N whose proven q-series tail bound is below
     10**-target_digits, for weights w_s with sum |w_s| = weight.

@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
-from .fixed import ratio
+from .fixed import places, ratio
 from .precision import GUARD, PrecisionReal, to_mpf
 from .series import _s_raw, _zeta_ref_raw
 
@@ -54,12 +54,6 @@ def _mpf(x):
     """A coefficient or rate at the ambient precision."""
     rho, j = x if isinstance(x, tuple) else (x, 0)
     return to_mpf(Fraction(rho)) * (+mp.pi) ** j
-
-
-def places(target, size=1):
-    """The precision rule: decimal places that keep a quantity of magnitude
-    up to |size|, or an error magnified by |size|, within 10**-target."""
-    return target + max(0, math.ceil(mp.mag(size) * math.log10(2)))  # mag bounds log2 |size|
 
 
 def term_values(terms, accuracy):

@@ -1,0 +1,85 @@
+"""The independent oracles in integer fixed point, with no mpmath: zeta(s),
+zeta(3), and pi and its powers by Machin's formula.  They share no code with
+the kernel or the pi of `plouffe.fixed`, so agreement with an assembled
+value is evidence.  A value is (m, prec), standing for m 2^-prec."""
+
+import math
+
+
+def apery_fixed(target_digits):
+    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 C(2n, n)) as (m, prec),
+    with absolute error below 10**-target_digits.
+
+    Term n+1 is term n times n^3 / (2 (n+1)^2 (2n+1)) < 1/4: one small
+    multiply and one floor, so each term is off by under 4/3 units of
+    2^-prec.  The loop stops at the first term that floors to zero, whose
+    true value bounds the alternating tail by 4/3 units.  With N <= prec/2 + 2
+    terms, the sum is off by under 4N/3 units and zeta(3), after the factor
+    5/2 and its floor, by under 4N <= 2 prec + 8 units: below 10**-D for
+    D = target_digits, bits = ceil(D log2 10), prec = bits + bit_length(bits) + 4.
+    """
+    bits = math.ceil(target_digits * math.log2(10))
+    prec = bits + bits.bit_length() + 4
+    term, total, n = 1 << (prec - 1), 0, 1  # 1 / (1^3 C(2, 1))
+    while term:
+        total += term if n % 2 else -term
+        term = term * n ** 3 // (2 * (n + 1) ** 2 * (2 * n + 1))
+        n += 1
+    return 5 * total >> 1, prec
+
+
+def zeta_fixed(s, target_digits):
+    """zeta(s), integer s >= 2, as (m, prec), with absolute error below
+    10**-target_digits.
+
+    Chebyshev acceleration of eta(s) = sum (-1)^k/(k+1)^s (Cohen, Rodriguez
+    Villegas & Zagier 2000): d = T_n(3) and the b_k, the coefficients of
+    T_n(1 + 2x) up to sign, are integers.  Truncation leaves below
+    3/(3+sqrt 8)^n on eta, at most doubled by 1/(1 - 2^(1-s)): below
+    10**-(D+4) for D = target_digits and n = int(1.31 D) + 8.  Each floor adds
+    one unit of 2^-prec; acc // d shrinks the sum's n units to below one, so
+    eta is off by under 2 units and zeta by under 5, below 10**-(D+1).
+    """
+    n = int(1.31 * target_digits) + 8
+    prec = math.ceil((target_digits + 1) * math.log2(10)) + 3
+    d_prev, d = 1, 3  # T_0(3), T_1(3); T_(k+1) = 6 T_k - T_(k-1)
+    for _ in range(n - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, acc = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        acc += (c << prec) // (k + 1) ** s
+        b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))  # exact
+    return ((acc // d) << (s - 1)) // ((1 << (s - 1)) - 1), prec  # eta / (1 - 2^(1-s))
+
+
+def machin_pi(prec):
+    """floor(pi 2^prec) exactly, by Machin's formula pi = 16 arctan(1/5) -
+    4 arctan(1/239) at wp = prec + guard bits.  Term k of arctan(1/x) 2^wp,
+    floor(2^wp / ((2k+1) x^(2k+1))), is exact as a floor of floors by
+    integers, so each of the N_x nonzero terms is off by under a unit, and so
+    is the alternating tail past them: v is within E = 16 (N_5 + 1) +
+    4 (N_239 + 1) units of pi 2^wp, and its floor at prec is certain once v
+    is E units clear of a multiple of 2^guard."""
+    guard = prec.bit_length() + 16
+    while True:
+        v = error = 0
+        for x, weight in ((5, 16), (239, -4)):
+            power, total, k = (1 << prec + guard) // x, 0, 0
+            while power:
+                total += (-1) ** k * (power // (2 * k + 1))
+                power //= x * x
+                k += 1
+            v, error = v + weight * total, error + abs(weight) * (k + 1)
+        if error <= v % (1 << guard) < (1 << guard) - error:
+            return v >> guard
+        guard *= 2
+
+
+def pi_power(k, target_digits):
+    """pi^k, integer k >= 0, as (m, prec), with absolute error below
+    10**-target_digits: P = floor(pi 2^prec) is off by under a unit, so
+    P^k / 2^((k-1) prec), floored, is off by under k pi^(k-1) + 1 <= 4^k units,
+    and prec = ceil(target_digits log2 10) + 2k makes that below 10**-target_digits."""
+    prec = math.ceil(target_digits * math.log2(10)) + 2 * k
+    return machin_pi(prec) ** k << prec >> k * prec, prec

@@ -3,28 +3,28 @@ triples from raw high-precision values.
 
 The implementation follows the standard PSLQ formulation (lower-trapezoidal
 H matrix, gamma = sqrt(4/3) row selection, Hermite reduction) as exact
-integer state plus one H.  The inputs are rounded once to the working
-precision and held as integers over one power of two.  The B matrix, whose
-columns are the candidate relations, its inverse, y = x B and each
-candidate's residual are then exact Python integers, so a detected relation
-and its residual are exact.  H is the one floating-point matrix: it runs at
-the precision its decisions need and is rebuilt exactly from the integer
-state as that grows (see `pslq`).  While running, 1/max|H_jj| is a lower
-bound on the Euclidean norm of any relation, which is what a found = False
-result reports as the exclusion bound.  A candidate is a relation only at
-the precision its size needs (`min_digits_for`); each result says why it
-stopped.
+integer state plus one H.  The inputs are rounded once to D + GUARD
+decimal places for D requested digits and held as integers over one power
+of two.  The B matrix, whose columns are the candidate relations, its
+inverse, y = x B and each candidate's residual are then exact Python
+integers, so a detected relation and its residual are exact.  H is the one
+floating-point matrix, a `decimal` one: it runs at the precision its
+decisions need and is rebuilt exactly from the integer state as that grows
+(see `_pslq`).  While running, 1/max|H_jj| is a lower bound on the
+Euclidean norm of any relation, which is what a found = False result
+reports as the exclusion bound.  A candidate is a relation only at the
+precision its size needs (`min_digits_for`); each result says why it
+stopped.  mpmath is imported only to return a residual as a PrecisionReal.
 """
 
 import math
 from collections import namedtuple
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-import mpmath as mp
-
 from .bernoulli import Target, triple_for
-from .identities import places, series_term, target_term, term_values
-from .precision import GUARD, PrecisionReal, to_mpf
+from .fixed import GUARD, places, q_series, ratio
+from .oracles import pi_power, zeta_fixed
 
 MAX_COEFF = 10 ** 9  # the largest relation coefficient searched for
 MAX_ITERATIONS = 10 ** 4
@@ -54,9 +54,10 @@ def min_digits_for(n_values, max_coeff_bound):
 
 def _rotate(H, r, c):
     """Rotate columns r and c of H so that H[r][c] becomes 0 (rows above r
-    are 0 in both); False when both entries are 0 and no rotation exists."""
-    t0 = mp.sqrt(H[r][r] ** 2 + H[r][c] ** 2)
-    if t0 == 0:
+    are 0 in both), in the current decimal context; False when both entries
+    are 0 and no rotation exists."""
+    t0 = (H[r][r] * H[r][r] + H[r][c] * H[r][c]).sqrt()
+    if not t0:
         return False
     t1, t2 = H[r][r] / t0, H[r][c] / t0
     for i in range(r, len(H)):
@@ -64,6 +65,37 @@ def _rotate(H, r, c):
         H[i][r] = t1 * h1 + t2 * h2
         H[i][c] = -t2 * h1 + t1 * h2
     return True
+
+
+def _working_bits(digits):
+    """The bits the inputs are rounded to: mpmath's dps_to_prec(digits + GUARD)."""
+    return round((digits + GUARD + 1) * 3.3219280948873626)
+
+
+def _rounded(ratios, digits):
+    """Exact (numerator, denominator) pairs rounded half to even to
+    `_working_bits(digits)` significant bits, as mpmath rounds them, and held
+    as integers X over one power of two: x_i = X_i 2**e.  Returns (X, e)."""
+    work, parts = _working_bits(digits), []
+    for num, den in ratios:
+        if not num:
+            parts.append((0, 0))
+            continue
+        k = work + 1 - abs(num).bit_length() + den.bit_length()
+        q, rest = divmod(abs(num) << max(k, 0), den << max(-k, 0))
+        cut = q.bit_length() - work  # 1 or 2: |x| 2^k lies in (2^work, 2^(work+2))
+        q, low = q >> cut, q & ((1 << cut) - 1)
+        q += 2 * low > 1 << cut or (2 * low == 1 << cut and bool(rest or q & 1))
+        zeros = (q & -q).bit_length() - 1
+        parts.append(((q if num > 0 else -q) >> zeros, cut - k + zeros))
+    e = min((exp for m, exp in parts if m), default=0)
+    return [m << (exp - e) for m, exp in parts], e
+
+
+def _decimal(m, bits, exp):
+    """m 2**exp in the current decimal context, m first cut to its leading `bits` bits."""
+    cut = max(0, abs(m).bit_length() - bits)
+    return Decimal(m >> cut) * Decimal(2) ** (exp + cut)
 
 
 def pslq(values, digits, max_coeff_bound=MAX_COEFF):
@@ -83,104 +115,125 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     The search also ends when the norm bound passes the coefficient bound
     (any int), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
 
-    Exact integer state plus one H.  The inputs are rounded once to the
-    working precision (digits + GUARD places) and held as integers X over
-    one power of two.  B and its exact inverse A are integers, and
-    y = X B / |X| is not carried: the termination test and a candidate's
-    residual |sum v_i X_i| are exact integer sums, so the test is exact
-    whatever the size of v.  H is the only floating-point quantity.  It and
-    every decision read from it (the row m, the multipliers t, the rotation
-    and the norm bound) run at
+    The values (mpf, int, float, Fraction or PrecisionReal) are taken exactly
+    and rounded once to digits + GUARD places by `_rounded`; `_pslq` searches,
+    with H in `decimal` at the digits its decisions need.
+    """
+    if len(values) < 2:
+        raise ValueError("pslq needs at least 2 values")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    from .precision import PrecisionReal
+
+    X, e = _rounded([ratio(v.mpf if isinstance(v, PrecisionReal) else v) for v in values], digits)
+    return _public(_pslq(X, e, digits, max_coeff_bound), digits)
+
+
+def _public(result, digits):
+    """The result with its exact residual (m, prec) as a PrecisionReal."""
+    from .precision import PrecisionReal, from_fixed
+
+    return result._replace(residual=PrecisionReal(from_fixed(*result.residual), digits))
+
+
+def _pslq(X, e, digits, max_coeff_bound):
+    """`pslq` of x_i = X_i 2**e, inputs already rounded by `_rounded`; the
+    result's residual is exact, as (m, prec) for m 2**-prec.
+
+    Exact integer state plus one H.  B and its exact inverse A are integers,
+    and y = X B / |X| is not carried: the termination test and a
+    candidate's residual |sum v_i X_i| are exact integer sums, so the test
+    is exact whatever the size of v.  H is the only floating-point quantity.
+    It and every decision read from it (the row m, the multipliers t, the
+    rotation and the norm bound) run in `decimal` at
+    ceil(p log10 2) + 1 digits, at least p bits, for
     p = min(128 + 2 * bitlen(max(|A|, |B|)), working precision) bits, since
-    those decisions read only H's leading bits.  H = A H_x Q throughout, for
-    the H_x of X and an orthogonal Q, so H is the L factor of A H_x up to
-    column signs, which change neither |H_jj| nor H_ij / H_jj.  Only
-    `rebuild` makes H, from that exact product by a Givens LQ at the current
-    p: at the start from A = I, where H_x is already lower trapezoidal, and
-    whenever bitlen(max(|A|, |B|)) has grown by 8 since the last rebuild.
+    those decisions read only H's leading digits: about 40 digits, plus 0.6
+    per bit of A and B, at most the D + GUARD places the inputs were rounded
+    to.  H = A H_x Q throughout, for the H_x of X and an orthogonal Q, so H
+    is the L factor of A H_x up to column signs, which change neither |H_jj|
+    nor H_ij / H_jj.  Only `rebuild` makes H, from that exact product by a
+    Givens LQ at the current p: at the start from A = I, where H_x is already
+    lower trapezoidal, and whenever bitlen(max(|A|, |B|)) has grown by 8
+    since the last rebuild.  H_x is held in integers over 2**-F, each entry
+    to more bits than the inputs carry, and each entry of A H_x is cut to
+    p + 16 bits before it becomes a Decimal.
 
     Why the reported norm bound is still a lower bound: 1/max|H_jj| bounds
     the norm of every relation for the exact H of the current integer state
     (Ferguson, Bailey & Arno 1999), and the carried H differs from that H
     only by rounding.  A rebuild starts from the exact product A H_x, so no
     error survives it.  Until the next one A and B grow by fewer than 8
-    bits, and the p-bit steps in between, which magnify an error about as
-    much as A and B grow, use up little of the 128 bits p holds beyond
-    2 * bitlen(max(|A|, |B|)): just before a rebuild the carried |H_jj|
-    were correct to at least 112 bits on inputs of 300 to 2005 digits, far
-    more than the 53 bits the bound is reported in.  Where the working
-    precision caps p, H runs at the precision the inputs were rounded to,
-    and the rebuilds still clear its error every 8 bits of growth.
+    bits, about 2.4 digits, and the steps in between, which magnify an error
+    about as much as A and B grow, use up little of the 38 digits H holds
+    beyond 0.6 digits per bit of max(|A|, |B|): just before a rebuild the
+    carried |H_jj| were correct to at least 40 digits in `discover` at 300 to
+    2005 digits, and to 32 on the inputs of the PSLQ test corpus, far more
+    than the 16 the bound is reported in.  Where the working precision caps
+    p, H runs at the precision the inputs were rounded to, and the rebuilds
+    still clear its error every 8 bits of growth.
     """
-    n = len(values)
-    if n < 2:
-        raise ValueError("pslq needs at least 2 values")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + GUARD):
-        work = mp.mp.prec
-        xs = [to_mpf(v) for v in values]
-        if all(x == 0 for x in xs):
-            raise ValueError("pslq input is the zero vector")
-        for idx, x in enumerate(xs):
-            if x == 0:
-                # a zero entry makes the unit relation trivially exact
-                unit = [0] * n
-                unit[idx] = 1
-                return RelationResult(_canonical(unit), PrecisionReal(mp.mpf(0), digits),
-                                      0, True, 1.0, "found")
+    n = len(X)
+    if not any(X):
+        raise ValueError("pslq input is the zero vector")
+    if 0 in X:
+        # a zero entry makes the unit relation trivially exact
+        return RelationResult(_canonical([int(i == X.index(0)) for i in range(n)]), (0, 0),
+                              0, True, 1.0, "found")
+    work = _working_bits(digits)
+    # the test |y_j| < 10**-(digits-10), y = X B / |X|, in integers:
+    # |(X B)_j|**2 * 10**(2 digits) < |X|**2 * 10**20, i.e. |(X B)_j| <= y_max
+    y_max = math.isqrt((sum(v * v for v in X) * 10 ** 20 - 1) // 10 ** (2 * digits))
 
-        e = min(x.exp for x in xs)
-        X = [int(mp.ldexp(x, -e)) for x in xs]  # x_i = X_i 2**e, exactly
-        # the test |y_j| < 10**-(digits-10), y = X B / |X|, in integers:
-        # |(X B)_j|**2 * 10**(2 digits) < |X|**2 * 10**20, i.e. |(X B)_j| <= y_max
-        y_max = math.isqrt((sum(v * v for v in X) * 10 ** 20 - 1) // 10 ** (2 * digits))
-        gamma = mp.sqrt(mp.mpf(4) / 3)
+    # H_x in integers over 2**-F from u = X / |X| and t_k = |u_k..u_(n-1)|:
+    # h_jj = t_(j+1) / t_j, h_ij = -u_i u_j / (t_j t_(j+1)) for i > j.  Each is
+    # at least 2**-(2 spread + 2 + log2 n), so F holds it past the inputs' bits.
+    sizes = [abs(v).bit_length() for v in X]
+    F = work + 2 * (max(sizes) - min(sizes)) + 32
+    norm = math.isqrt(sum(v * v for v in X) << 2 * F)
+    u = [(v << 2 * F) // norm for v in X]
+    t = [math.isqrt(sum(v * v for v in u[k:])) for k in range(n)]
+    hx_cols = []
+    for j in range(n - 1):
+        c = (1 << 3 * F) // (t[j] * t[j + 1])
+        hx_cols.append([0] * j + [(t[j + 1] << F) // t[j]]
+                       + [-(u[i] * u[j] * c >> 2 * F) for i in range(j + 1, n)])
+
+    def rebuild(size):
+        """H for A and B of `size` bits: the L factor of the exact A H_x at p bits."""
+        nonlocal built, gammas
+        built, p = size, min(128 + 2 * size, work)
+        ctx.prec = math.ceil(p * math.log10(2)) + 1
+        gamma = Decimal(math.isqrt(4 * 100 ** ctx.prec // 3)).scaleb(-ctx.prec)  # sqrt(4/3)
         gammas = [gamma ** (i + 1) for i in range(n - 1)]
+        H = [[_decimal(sum(a * h for a, h in zip(row, col)), p + 16, -F) for col in hx_cols]
+             for row in A]
+        for r in range(n - 1):
+            for c in range(r + 1, n - 1):
+                if H[r][c]:
+                    _rotate(H, r, c)
+        return H
 
-        s = [mp.sqrt(sum(v * v for v in X[k:])) for k in range(n)]
-        hx = [[mp.mpf(0)] * (n - 1) for _ in range(n)]
-        for i in range(n):
-            if i < n - 1:
-                hx[i][i] = s[i + 1] / s[i]
-            for j in range(i):
-                hx[i][j] = -X[i] * X[j] / (s[j] * s[j + 1])
-        # H_x's columns as integers over one power of two: A H_x is exact
-        e0 = min(h.exp for row in hx for h in row if h)
-        hx_cols = [[int(mp.ldexp(row[j], -e0)) for row in hx] for j in range(n - 1)]
+    def reduce_row(i, j_top):
+        for j in range(j_top, -1, -1):
+            if not H[j][j]:
+                continue
+            t = int((H[i][j] / H[j][j]).to_integral_value(ROUND_HALF_EVEN))
+            if t == 0:
+                continue
+            for k in range(j + 1):
+                H[i][k] -= t * H[j][k]
+            for k in range(n):
+                B[k][j] += t * B[k][i]
+            A[i] = [a - t * b for a, b in zip(A[i], A[j])]
 
-        def rebuild(size):
-            """H for A and B of `size` bits: the L factor of the exact A H_x at p bits."""
-            nonlocal built, prec
-            built, prec = size, min(128 + 2 * size, work)
-            with mp.workprec(prec):
-                H = [[mp.ldexp(mp.mpf(sum(a * h for a, h in zip(row, col))), e0)
-                      for col in hx_cols] for row in A]
-                for r in range(n - 1):
-                    for c in range(r + 1, n - 1):
-                        if H[r][c]:
-                            _rotate(H, r, c)
-            return H
-
-        def reduce_row(i, j_top):
-            for j in range(j_top, -1, -1):
-                if H[j][j] == 0:
-                    continue
-                t = int(mp.nint(H[i][j] / H[j][j]))
-                if t == 0:
-                    continue
-                for k in range(j + 1):
-                    H[i][k] -= t * H[j][k]
-                for k in range(n):
-                    B[k][j] += t * B[k][i]
-                A[i] = [a - t * b for a, b in zip(A[i], A[j])]
-
-        B = [[int(i == j) for j in range(n)] for i in range(n)]
-        A, built, prec = [row[:] for row in B], None, None  # B = I; rebuild sets the rest
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    A, built, gammas = [row[:] for row in B], None, None  # B = I; rebuild sets the rest
+    with localcontext() as ctx:
+        ctx.rounding, ctx.Emin, ctx.Emax = ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX
         H = rebuild(1)
-        with mp.workprec(prec):
-            for i in range(1, n):
-                reduce_row(i, i - 1)
+        for i in range(1, n):
+            reduce_row(i, i - 1)
 
         best_bound = 0.0
         iterations = 0
@@ -193,13 +246,11 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                              for j, col in enumerate(zip(*B)))
             if y_min <= y_max:
                 vector = _canonical([B[j][idx] for j in range(n)])
-                residual = abs(sum(v * x for v, x in zip(vector, X)))  # in units of 2**e
                 largest = max(abs(v) for v in vector)
                 if largest <= max_coeff_bound and min_digits_for(n, largest) <= digits:
-                    with mp.workprec(residual.bit_length() + 1):  # exact
-                        residual = mp.ldexp(residual, e)
-                    return RelationResult(vector, PrecisionReal(residual, digits),
-                                          iterations, True, best_bound, "found")
+                    residual = abs(sum(v * x for v, x in zip(vector, X)))  # in units of 2**e
+                    return RelationResult(vector, (residual, -e), iterations, True, best_bound,
+                                          "found")
                 break  # numerically spent: v is too large for the bound or the digits
             # float against int, so the bound may lie past the float range
             if best_bound / math.sqrt(n) > max_coeff_bound:
@@ -209,43 +260,37 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 stop = "iteration cap"
                 break
             iterations += 1
-            with mp.workprec(prec):
-                m = max(range(n - 1), key=lambda i: gammas[i] * abs(H[i][i]))
-                H[m], H[m + 1] = H[m + 1], H[m]
-                for row in B:
-                    row[m], row[m + 1] = row[m + 1], row[m]
-                A[m], A[m + 1] = A[m + 1], A[m]
-                if m < n - 2 and not _rotate(H, m, m + 1):
-                    break  # precision exhausted
-                for i in range(m + 1, n):
-                    reduce_row(i, min(i - 1, m + 1))
+            m = max(range(n - 1), key=lambda i: gammas[i] * abs(H[i][i]))
+            H[m], H[m + 1] = H[m + 1], H[m]
+            for row in B:
+                row[m], row[m + 1] = row[m + 1], row[m]
+            A[m], A[m + 1] = A[m + 1], A[m]
+            if m < n - 2 and not _rotate(H, m, m + 1):
+                break  # precision exhausted
+            for i in range(m + 1, n):
+                reduce_row(i, min(i - 1, m + 1))
 
-                h_max = max(abs(H[i][i]) for i in range(n - 1))
-                if h_max > 0:
-                    best_bound = max(best_bound, float(1 / h_max))
+            h_max = max(abs(H[i][i]) for i in range(n - 1))
+            if h_max > 0:
+                best_bound = max(best_bound, float(1 / h_max))
 
-        return RelationResult((), PrecisionReal(mp.mpf(1), digits),
-                              iterations, False, best_bound, stop)
+    return RelationResult((), (1, 0), iterations, False, best_bound, stop)
 
 
-def rediscover_triple(target, exponent, digits):
-    """Recover (a, b, c) for the given target from raw numeric values.
-
-    Runs pslq on [target value, S(1), S(2), S(4)], normalizes the relation
-    so the target's coefficient is -1, and checks the recovered rationals
-    against the exact closed-form triple.  Returns (RelationResult, triple).
-    """
+def _rediscover(target, exponent, digits):
+    """`rediscover_triple` on integers alone: the relation's residual stays
+    exact, as (m, prec) for m 2**-prec."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     target = Target(target)
     expected = triple_for(target, exponent)  # validates target/exponent
 
-    terms = [target_term(target, exponent)] + [series_term(exponent, r) for r, _ in expected.weights()]
     # a relation with coefficients up to the bound must vanish to digits + GUARD places
-    accuracy = places(digits + GUARD, len(terms) * MAX_COEFF)
-    values = list(term_values(terms, accuracy).values())
-
-    result = pslq(values, digits)
+    accuracy = places(digits + GUARD, 4 * MAX_COEFF)
+    oracle = pi_power if target is Target.PI_POWER else zeta_fixed
+    inputs = [oracle(exponent, accuracy)]
+    inputs += [q_series(exponent, r, accuracy) for r, _ in expected.weights()]
+    result = _pslq(*_rounded([(m, 1 << prec) for m, prec in inputs], digits), digits, MAX_COEFF)
     if not result.found:
         why = result.stop
         if why == "norm bound":
@@ -265,3 +310,16 @@ def rediscover_triple(target, exponent, digits):
             f"recovered coefficients ({a}, {b}, {c}) disagree with the exact triple "
             f"{expected.coefficients()}; the relation is spurious (insufficient precision)")
     return result, expected
+
+
+def rediscover_triple(target, exponent, digits):
+    """Recover (a, b, c) for the given target from raw numeric values.
+
+    Runs PSLQ on [target value, S(1), S(2), S(4)], normalizes the relation
+    so the target's coefficient is -1, and checks the recovered rationals
+    against the exact closed-form triple.  Returns (RelationResult, triple).
+    The S values come from `fixed.q_series` and the target from
+    `oracles.pi_power` or `oracles.zeta_fixed`, all in integers.
+    """
+    result, expected = _rediscover(target, exponent, digits)
+    return _public(result, digits), expected

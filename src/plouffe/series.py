@@ -13,12 +13,12 @@ polynomial in one fixed q, which rectangular splitting evaluates with about
 working precision.
 
 Oracle independence: :func:`zeta_reference` (accelerated alternating eta
-series) and :func:`apery_zeta3` share no code path with the S/T series or
-the triple assembly, so agreement between the two routes is meaningful
+series) and :func:`apery_zeta3` wrap the integer oracles of
+`plouffe.oracles`, which share no code path with the S/T series or the
+triple assembly, so agreement between the two routes is meaningful
 evidence rather than a tautology.
 """
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -26,6 +26,7 @@ import mpmath as mp
 
 from .bernoulli import Target, triple_for
 from .fixed import q_series, ratio, truncation_index  # noqa: F401  (public here too)
+from .oracles import apery_fixed, zeta_fixed
 from .precision import GUARD, PrecisionReal, from_fixed
 
 
@@ -83,27 +84,8 @@ def eval_zeta_odd(exponent, digits):
 
 
 def _apery_raw(target_digits):
-    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 C(2n, n)) as an exact mpf
-    with absolute error below 10**-target_digits, summed in integers scaled
-    by 2^prec, so the ambient mpmath precision plays no part.  Shares no code
-    with the Lambert-series evaluators above.
-
-    Term n+1 is term n times n^3 / (2 (n+1)^2 (2n+1)) < 1/4: one small
-    multiply and one floor, so each term is off by under 4/3 units of
-    2^-prec.  The loop stops at the first term that floors to zero, whose
-    true value bounds the alternating tail by 4/3 units.  With N <= prec/2 + 2
-    terms, the sum is off by under 4N/3 units and zeta(3), after the factor
-    5/2 and its floor, by under 4N <= 2 prec + 8 units: below 10**-D for
-    D = target_digits, bits = ceil(D log2 10), prec = bits + bit_length(bits) + 4.
-    """
-    bits = math.ceil(target_digits * math.log2(10))
-    prec = bits + bits.bit_length() + 4
-    term, total, n = 1 << (prec - 1), 0, 1  # 1 / (1^3 C(2, 1))
-    while term:
-        total += term if n % 2 else -term
-        term = term * n ** 3 // (2 * (n + 1) ** 2 * (2 * n + 1))
-        n += 1
-    return from_fixed(5 * total >> 1, prec)
+    """zeta(3) within 10**-target_digits, as the exact mpf of `oracles.apery_fixed`."""
+    return from_fixed(*apery_fixed(target_digits))
 
 
 def apery_zeta3(digits):
@@ -114,31 +96,8 @@ def apery_zeta3(digits):
 
 
 def _zeta_ref_raw(s, target_digits):
-    """zeta(s), integer s >= 2, as an exact mpf with absolute error below
-    10**-target_digits, summed in integers scaled by 2^prec, so the ambient
-    mpmath precision plays no part.  Shares no code with the Lambert-series
-    evaluators above.
-
-    Chebyshev acceleration of eta(s) = sum (-1)^k/(k+1)^s (Cohen, Rodriguez
-    Villegas & Zagier 2000): d = T_n(3) and the b_k, the coefficients of
-    T_n(1 + 2x) up to sign, are integers.  Truncation leaves below
-    3/(3+sqrt 8)^n on eta, at most doubled by 1/(1 - 2^(1-s)): below
-    10**-(D+4) for D = target_digits and n = int(1.31 D) + 8.  Each floor adds
-    one unit of 2^-prec; acc // d shrinks the sum's n units to below one, so
-    eta is off by under 2 units and zeta by under 5, below 10**-(D+1).
-    """
-    n = int(1.31 * target_digits) + 8
-    prec = math.ceil((target_digits + 1) * math.log2(10)) + 3
-    d_prev, d = 1, 3  # T_0(3), T_1(3); T_(k+1) = 6 T_k - T_(k-1)
-    for _ in range(n - 1):
-        d_prev, d = d, 6 * d - d_prev
-    b, c, acc = -1, -d, 0
-    for k in range(n):
-        c = b - c
-        acc += (c << prec) // (k + 1) ** s
-        b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))  # exact
-    zeta = ((acc // d) << (s - 1)) // ((1 << (s - 1)) - 1)  # eta / (1 - 2^(1-s))
-    return from_fixed(zeta, prec)
+    """zeta(s) within 10**-target_digits, as the exact mpf of `oracles.zeta_fixed`."""
+    return from_fixed(*zeta_fixed(s, target_digits))
 
 
 def zeta_reference(s, digits):

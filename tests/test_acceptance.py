@@ -29,6 +29,7 @@ from fractions import Fraction
 import mpmath as mp
 
 import plouffe.fixed as fixed_module
+import plouffe.oracles as oracles_module
 import plouffe.series as series_module
 from plouffe.bernoulli import Target, bernoulli, f_sum, triple_for
 from plouffe.identities import (
@@ -165,24 +166,33 @@ def test_criterion_7_closed_forms():
     announce(7, "closed forms match the series to >= 90 digits at D=100")
 
 
+def imported_modules(module):
+    tree = ast.parse(inspect.getsource(module))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    return imported | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
 def test_criterion_8_oracle_independence_is_structural():
-    # the zeta oracles never touch the Lambert-series evaluator, and the
+    # the oracles (zeta, zeta(3), and the pi behind the pi-power targets of
+    # discover) never touch the Lambert-series evaluator or its pi, and the
     # assembly path, down to the integer kernel, never touches the oracles
-    oracle_side = (inspect.getsource(series_module._zeta_ref_raw)
+    oracle_side = (inspect.getsource(oracles_module)
+                   + inspect.getsource(series_module._zeta_ref_raw)
                    + inspect.getsource(series_module._apery_raw))
     assembly_side = (inspect.getsource(series_module._s_raw)
                      + inspect.getsource(series_module._assemble)
                      + inspect.getsource(fixed_module))
-    for name in ("_s_raw", "q_series", "q_fixed", "triple_for"):
+    for name in ("_s_raw", "q_series", "q_fixed", "triple_for", "pi_fixed", "_chudnovsky",
+                 "exp_neg"):
         assert name not in oracle_side, name
-    assert "_zeta_ref_raw" not in assembly_side
-    assert "_apery_raw" not in assembly_side
-    # the kernel imports no mpmath, so its pi is not the pi-power oracle's
-    tree = ast.parse(inspect.getsource(fixed_module))
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names}
-    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert imported == {"math", "decimal", "fractions"}
+    for name in ("_zeta_ref_raw", "_apery_raw", "oracles", "zeta_fixed", "apery_fixed",
+                 "machin_pi", "pi_power"):
+        assert name not in assembly_side, name
+    # neither imports mpmath, and the oracles import nothing of the kernel's,
+    # so the kernel's pi is not the pi-power oracle's
+    assert imported_modules(fixed_module) == {"math", "decimal", "fractions"}
+    assert imported_modules(oracles_module) == {"math"}
     # and the agreement evidence from criteria 2-3 is therefore non-circular
     announce(8, "oracle independence enforced structurally")
 

@@ -340,6 +340,20 @@ def test_exact_output_past_the_int_str_limit(tmp_path, capsys, monkeypatch):
     assert [Fraction(q) for q in out.split()] == list(triple_for("pi", 501).coefficients())
 
 
+def test_a_cache_past_4300_digit_numerators_round_trips(tmp_path, capsys, monkeypatch):
+    # B_2064 has the first numerator past Python's default limit of 4300 digits
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
+    cache = tmp_path / "long.cache"
+    assert run_cli(capsys, "bernoulli", "2064", "--cache", str(cache))[0] == 0
+    memo = bernoulli_module.memo_snapshot()
+    assert abs(memo[2064].numerator) >= 10 ** 4300
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
+    assert _load_cache(str(cache)) == len(memo)
+    assert bernoulli_module.memo_snapshot() == memo
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int<->str digit limit")
 def test_a_command_runs_under_the_callers_int_str_limit(capsys, monkeypatch):

@@ -1,17 +1,20 @@
 """The package's import cost and public surface.
 
 Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
-are exact Fraction arithmetic, and `eval` without `--check` integer fixed
-point, so they start without mpmath, dataclasses or inspect.  The package resolves the names of its mpmath-backed layers on
-first access, with the same objects as their home modules.  The record
-types keep the value semantics of frozen dataclasses, and they pickle, so a
-process pool can return them.  Public entry points reject digits < 1 before
+are exact Fraction arithmetic, `eval` without `--check` integer fixed
+point, and `discover` without `--format json` integers and `decimal`, so
+they start without mpmath, dataclasses or inspect.  The package resolves
+the names of its mpmath-backed layers on first access, with the same
+objects as their home modules.  The record types keep the value semantics
+of frozen dataclasses, and they pickle, so a process pool can return them.  Public entry points reject digits < 1 before
 they compute anything.
 """
 
 import copy
+import json
 import multiprocessing
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -60,6 +63,7 @@ def loaded_by(*commands):
     ("table --max-m 2", ("plain", "csv", "latex", "json")),
     ("bernoulli 30", ("plain", "json")),
     ("eval zeta 5 --digits 30", ("plain", "csv", "json")),
+    ("discover pi 7 --digits 200", ("plain",)),
 ])
 def test_exact_commands_import_only_what_they_use(tmp_path, command, formats):
     for fmt in formats:
@@ -76,12 +80,30 @@ def test_exact_commands_import_only_what_they_use(tmp_path, command, formats):
 @pytest.mark.parametrize("command", [
     "eval zeta 3 --digits 20 --check --format json",
     "verify --max-m 1 --digits 10",
-    "discover pi 3 --digits 50",
+    "discover pi 3 --digits 50 --format json",
 ])
 def test_mpmath_commands_import_no_dataclasses(command):
     loaded = loaded_by(command)
     assert "mpmath" in loaded
     assert "dataclasses" not in loaded
+
+
+# Runs one command in a fresh interpreter in which `import mpmath` fails.
+NO_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+from plouffe.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_plain_discover_prints_the_golden_output_without_mpmath():
+    command = "discover pi 7 --digits 200"
+    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
+    proc = subprocess.run([sys.executable, "-c", NO_MPMATH, *command.split()],
+                          capture_output=True, text=True, env=env, timeout=120)
+    golden = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+    assert [proc.returncode, proc.stdout] == golden[command], proc.stderr
 
 
 def test_a_bare_import_loads_no_mpmath():
@@ -248,11 +270,12 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
     def computed(*_):
         raise AssertionError("computed before rejecting digits")
 
-    for module in (identities, relations):
-        monkeypatch.setattr(module, "term_values", computed)
+    monkeypatch.setattr(identities, "term_values", computed)
     monkeypatch.setattr(series, "_s_raw", computed)
-    # and the kernel itself, wherever it is bound
-    for module in (fixed, series):
+    # and the kernel and the oracles themselves, wherever they are bound
+    for module in (fixed, series, relations):
         monkeypatch.setattr(module, "q_series", computed)
+    for name in ("pi_power", "zeta_fixed"):
+        monkeypatch.setattr(relations, name, computed)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)

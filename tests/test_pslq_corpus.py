@@ -77,22 +77,23 @@ def run_case(case):
 
 
 def run_discover(target, exponent):
-    """Outcome of the pslq call inside `rediscover_triple`."""
+    """Outcome of the PSLQ search inside `rediscover_triple`, which runs the
+    core `_pslq` on its rounded inputs."""
     results = []
-    real = relations.pslq
+    real = relations._pslq
 
     def recording(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    relations.pslq = recording
+    relations._pslq = recording
     try:
         rediscover_triple(target, exponent, DISCOVER_DIGITS)
     except RelationNotFoundError:
         pass
     finally:
-        relations.pslq = real
-    return outcome(results[0])
+        relations._pslq = real
+    return outcome(relations._public(results[0], DISCOVER_DIGITS))
 
 
 def test_corpus_replays():

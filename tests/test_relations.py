@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from plouffe import relations
 from plouffe.bernoulli import Target, triple_for
-from plouffe.precision import GUARD, pi_const, to_mpf
+from plouffe.fixed import ratio
+from plouffe.precision import GUARD, from_fixed, pi_const, to_mpf
 from plouffe.relations import RelationNotFoundError, min_digits_for, pslq, rediscover_triple
 from plouffe.series import SeriesSpec, s_series
 
@@ -102,6 +103,37 @@ def test_pslq_accepts_a_bound_past_the_float_range():
     with mp.workdps(100):
         result = pslq([+mp.pi, +mp.e], 50, max_coeff_bound=10 ** 400)
     assert not result.found and result.vector == ()
+
+
+def mpmath_rounded(values, digits):
+    """Nonzero inputs as mpmath rounds them at pslq's working precision
+    (`to_mpf` under workdps(digits + GUARD)), as integers X over 2**e."""
+    with mp.workdps(digits + GUARD):
+        xs = [to_mpf(x) for x in values]
+    e = min(x.exp for x in xs)
+    return [int(mp.ldexp(x, -e)) for x in xs], e
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_input_rounding_is_mpmaths(data):
+    # kernel pairs (m, prec) and mpf inputs, random or exactly on (or just
+    # past) a half-unit tie at the working precision
+    digits = data.draw(st.integers(1, 2100), label="digits")
+    work = relations._working_bits(digits)
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 5), label="n")):
+        m = data.draw(st.integers(1, 2 ** (work + 80)), label="m")
+        kind = data.draw(st.sampled_from(["random", "tie", "past a tie"]), label="kind")
+        if kind != "random":
+            tie = ((m % (1 << work - 1)) | (1 << work - 1)) << 1 | 1  # work + 1 bits
+            m = (tie << data.draw(st.integers(1, 40))) + (kind == "past a tie")
+        pairs.append((data.draw(st.sampled_from([1, -1])) * m, data.draw(st.integers(0, 9000))))
+    mpfs = [from_fixed(m, prec) for m, prec in pairs]
+    expected = mpmath_rounded(mpfs, digits)
+    assert relations._rounded([(m, 1 << prec) for m, prec in pairs], digits) == expected
+    scaled = [mp.ldexp(x, data.draw(st.integers(-300, 300))) for x in mpfs]  # exact
+    assert relations._rounded([ratio(x) for x in scaled], digits) == mpmath_rounded(scaled, digits)
 
 
 def canonical(vector):
