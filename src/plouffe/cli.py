@@ -112,10 +112,10 @@ def _cmd_coeffs(args):
 
 
 def _cmd_eval(args):
-    from .fixed import GUARD, decimal_string, q_series
+    from .fixed import GUARD, decimal_string, q_sums
 
     triple = triple_for(Target(args.target), args.exponent)
-    mantissa, prec = q_series(args.exponent, 1, args.digits + GUARD, weights=triple.weights())
+    (mantissa,), prec = q_sums(args.exponent, 1, args.digits + GUARD, [triple.weights()])
     text = decimal_string(mantissa, args.digits, -prec)
     result = {"value": text}
     lines = [text]

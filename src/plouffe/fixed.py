@@ -110,70 +110,87 @@ def truncation_index(n, rate, target_digits, weight=1):
     return terms
 
 
-def q_series(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)):
-    """sum_s w_s S_n(s r) (T_n with plus_one) for a rational r > 0, nonzero
-    rational w_s and integers s >= 1, as (m, prec): the value is m 2^-prec,
-    with absolute error below 10**-target_digits.
+def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
+    """sum_s w_s S_n(s r) (T_n with plus_one) for each weights ((s, w_s), ...)
+    of `outputs`, in one pass, for a rational r > 0, nonzero rational w_s and
+    integers s >= 1, as ([m, ...], prec): each value is m 2^-prec, with
+    absolute error below 10**-target_digits.
 
-    The sum is the polynomial sum_{m<=N} a_m q^m with a_m = c_m / (L m^n),
-    c_m = sum_s L w_s s^n sigma_n(m/s) and L the common denominator of the
-    w_s.  For T_n, 1/(e^x + 1) = sum_j (-1)^(j-1) e^(-jx) turns
-    sigma_n(m) = sum_{jk=m} j^n into sum_{jk=m} (-1)^(j-1) j^n.
+    An output is the polynomial sum_{m<=N} a_m q^m with a_m = c_m / (L m^n),
+    c_m = sum_s L w_s s^n sigma_n(m/s), L the common denominator of its w_s,
+    and N its own truncation index for its weight w = ceil(sum |w_s|).  For
+    T_n, 1/(e^x + 1) = sum_j (-1)^(j-1) e^(-jx) turns sigma_n(m) =
+    sum_{jk=m} j^n into sum_{jk=m} (-1)^(j-1) j^n.  The outputs share q, the
+    sieve of sigma_n, the powers Q_j and each term's Q_j >> cut_i.
 
     Rectangular splitting (Paterson & Stockmeyer 1973; Brent & Zimmermann,
     Modern Computer Arithmetic, 4.4.3), in integers scaled by 2^prec: with
-    k = isqrt(N), Q_j = q^j 2^prec for j = 0..k, and block i holding the terms
-    m = i k + j, 0 <= j < k, the block sum is sum_j c_m Q_j // (L m^n), and the
-    blocks are combined by Horner in q^k from the last one down.  Block i is
-    later multiplied by q^(ik) = 2^(-ik log2(1/q)), so it is summed with the
-    Q_j cut by cut_i <= ik log2(1/q) bits, as is the q^k of its Horner step.
-    That costs about 2k full multiplies (the Q_j and the Horner steps) and N
-    scalar multiplies and divisions, each linear in prec.
+    k = isqrt of the largest N, Q_j = q^j 2^prec for j = 0..k, and block i
+    holding the terms m = i k + j, 0 <= j < k, an output's block sum is
+    sum_j c_m Q_j // (L m^n), and its blocks are combined by Horner in q^k
+    from the last one down.  Block i is later multiplied by q^(ik) =
+    2^(-ik log2(1/q)), so it is summed with the Q_j cut by cut_i <=
+    ik log2(1/q) bits, as is the q^k of its Horner step.  That costs about
+    2k full multiplies (the Q_j, and the Horner steps of each output) and
+    one scalar multiply and division per nonzero c_m, each linear in prec.
 
-    Error, in units of 2^-prec: the tail is below 10**-(target_digits+1),
-    and so is the rounding.  Q_1, from `q_fixed`, is off by under 5/4 units,
-    and Q_j, a floored product of Q_(j-1) and Q_1, by under 3j.  |a_m| <= W =
-    w (1 + ln N) with w = ceil(sum |w_s|), so term m is off by under
+    Error of each output, in units of 2^-prec: its tail is below
+    10**-(target_digits+1), and so is its rounding.  Q_1, from `q_fixed`, is
+    off by under 5/4 units, and Q_j, a floored product of Q_(j-1) and Q_1,
+    by under 3j.  |a_m| <= W = w (1 + ln N), so term m is off by under
     3k W + 1 units of its block's scale, the floor included.  A Horner step
     adds one unit plus |total| (3k + 1), where |total| <= (W + k + 1)/(1-q)
-    bounds any partial Horner sum.  Each later step multiplies earlier errors
-    by the cut q^k, which is below q^k, so an error of e units at block i's
-    scale 2^(cut_i - prec) ends as under e q^(ik) 2^cut_i <= e units.  Summed
-    over N terms and N/k steps, the rounding stays under 17 N k W / (1-q)
-    units.
+    bounds any partial Horner sum; an output's total is exactly 0 above its
+    own N, so only N/k of its steps round.  Each later step multiplies
+    earlier errors by the cut q^k, which is below q^k, so an error of e units
+    at block i's scale 2^(cut_i - prec) ends as under e q^(ik) 2^cut_i <= e
+    units.  Summed over N terms and N/k steps, the rounding stays under
+    17 N k W / (1-q) units, for any k; prec is the largest that any output
+    needs to keep its own bound below 10**-(target_digits+1).
 
     Memory: the k + 1 powers Q_j of up to prec bits each (about 1 MB for pi
-    at 20000 digits) and a sieve table of N + 1 divisor sums of about
-    n log2(N) bits each (3.6 MB for S_5(1/100) at 1000 digits).
+    at 20000 digits), and a sieve table of N + 1 divisor sums of about
+    n log2(N) bits each (3.6 MB for S_5(1/100) at 1000 digits), and as much
+    again per output, less where it shares the sieve's ints.
     """
-    weights = [(s, Fraction(w)) for s, w in weights]
-    scale = math.lcm(*(w.denominator for _, w in weights))
-    numerators = [(s, int(w * scale) * s ** n) for s, w in weights]
-    weight = math.ceil(sum(abs(w) for _, w in weights))  # an int: past the float range for pi^n, n >= 619
-    terms = truncation_index(n, r, target_digits + 1, weight) + extra_terms
+    plans = []  # per output: N, weight, L and the (s, L w_s s^n)
+    for weights in outputs:
+        weights = [(s, Fraction(w)) for s, w in weights]
+        scale = math.lcm(*(w.denominator for _, w in weights))
+        weight = math.ceil(sum(abs(w) for _, w in weights))  # an int: past the float range for pi^n, n >= 619
+        plans.append((truncation_index(n, r, target_digits + 1, weight) + extra_terms, weight, scale,
+                      [(s, int(w * scale) * s ** n) for s, w in weights]))
+    terms = max(plan[0] for plan in plans)
     k = math.isqrt(terms)
-    slack = 17 * terms * k * weight * math.ceil((1 + math.log(terms)) / -math.expm1(-math.pi * float(r)))
-    prec = math.ceil((target_digits + 1) * math.log2(10) + math.log2(slack))
+    prec = max(math.ceil((target_digits + 1) * math.log2(10) + math.log2(
+        17 * last * k * weight * math.ceil((1 + math.log(last)) / -math.expm1(-math.pi * float(r)))))
+        for last, weight, _, _ in plans)
     q = q_fixed(r, prec)
     sigma = [0] * (terms + 1)  # sigma[m]: sum of the (signed) d^n over divisors d of m
     for d in range(1, terms + 1):
         power = -(d ** n) if plus_one and d % 2 == 0 else d ** n
         for m in range(d, terms + 1, d):
             sigma[m] += power
+    sums = [(scale, [0] * (last + 1)) for last, _, scale, _ in plans]  # per output: L, c_0..c_N
+    for (_, c), (_, _, _, numerators) in zip(sums, plans):
+        for s, v in numerators:  # where c_m is sigma_n(m/s) itself, it keeps the sieve's int
+            c[s::s] = [x + v * y if x or v != 1 else y for x, y in zip(c[s::s], sigma[1:])]
     powers = [1 << prec, q]  # powers[j] = Q_j
     for _ in range(k - 1):
         powers.append(powers[-1] * q >> prec)
     block_bits = k * math.pi * float(r) / math.log(2)  # log2(1/q^k)
-    total, cut_prev = 0, prec
+    totals, cut_prev = [0] * len(sums), prec
     for i in range(terms // k, -1, -1):
         cut = min(prec, max(0, math.floor(i * block_bits) - 1))  # -1: float error in i * block_bits
-        block = 0
+        blocks, step = [0] * len(sums), powers[k] >> cut
         for m in range(max(1, i * k), min(terms + 1, i * k + k)):
-            c = sum(v * sigma[m // s] for s, v in numerators if m % s == 0)
-            block += c * (powers[m - i * k] >> cut) // (scale * m ** n)
-        total = (total * (powers[k] >> cut) >> (prec - cut_prev)) + block
+            power, den = powers[m - i * k] >> cut, m ** n
+            for o, (scale, c) in enumerate(sums):
+                if m < len(c) and c[m]:
+                    blocks[o] += c[m] * power // (scale * den)
+        totals = [(t * step >> (prec - cut_prev)) + b for t, b in zip(totals, blocks)]
         cut_prev = cut
-    return total, prec
+    return totals, prec
 
 
 def ratio(x):

@@ -25,8 +25,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
-from .fixed import places, ratio
-from .precision import GUARD, PrecisionReal, to_mpf
+from .fixed import places, q_sums, ratio
+from .precision import GUARD, PrecisionReal, from_fixed, to_mpf
 from .series import _s_raw, _zeta_ref_raw
 
 
@@ -57,9 +57,19 @@ def _mpf(x):
 
 
 def term_values(terms, accuracy):
-    """{term: value} for each term, with absolute error below 10**-accuracy."""
-    values = {}
+    """{term: value}, each within 10**-accuracy; the S terms of one (n, plus_one)
+    at integer multiples of their lowest rational rate share one `q_sums` pass."""
+    groups, values = {}, {}
     for term in terms:
+        if term[0] == "S" and isinstance(term[2], (int, Fraction)):
+            groups.setdefault((term[1], term[3]), []).append(term)
+    for (n, plus_one), group in groups.items():
+        base = Fraction(min(t[2] for t in group))
+        group = [t for t in group if (t[2] / base).denominator == 1]
+        sums, prec = q_sums(n, base, accuracy, [tuple((s * int(t[2] / base), w) for s, w in t[4])
+                                                 for t in group], plus_one)
+        values.update((t, from_fixed(m, prec)) for t, m in zip(group, sums))
+    for term in (term for term in terms if term not in values):
         kind, *args = term
         with mp.workdps(places(accuracy, mp.pi ** args[0] if kind == "pi" else 1) + 10):
             if kind == "S":

@@ -23,7 +23,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .bernoulli import Target, triple_for
-from .fixed import GUARD, places, q_series, ratio
+from .fixed import GUARD, places, q_sums, ratio
 from .oracles import pi_power, zeta_fixed
 
 MAX_COEFF = 10 ** 9  # the largest relation coefficient searched for
@@ -288,8 +288,8 @@ def _rediscover(target, exponent, digits):
     # a relation with coefficients up to the bound must vanish to digits + GUARD places
     accuracy = places(digits + GUARD, 4 * MAX_COEFF)
     oracle = pi_power if target is Target.PI_POWER else zeta_fixed
-    inputs = [oracle(exponent, accuracy)]
-    inputs += [q_series(exponent, r, accuracy) for r, _ in expected.weights()]
+    sums, prec = q_sums(exponent, 1, accuracy, [((s, 1),) for s, _ in expected.weights()])
+    inputs = [oracle(exponent, accuracy)] + [(m, prec) for m in sums]  # S(1), S(2), S(4) in one pass
     result = _pslq(*_rounded([(m, 1 << prec) for m, prec in inputs], digits), digits, MAX_COEFF)
     if not result.found:
         why = result.stop
@@ -318,7 +318,7 @@ def rediscover_triple(target, exponent, digits):
     Runs PSLQ on [target value, S(1), S(2), S(4)], normalizes the relation
     so the target's coefficient is -1, and checks the recovered rationals
     against the exact closed-form triple.  Returns (RelationResult, triple).
-    The S values come from `fixed.q_series` and the target from
+    The S values come from one `fixed.q_sums` pass and the target from
     `oracles.pi_power` or `oracles.zeta_fixed`, all in integers.
     """
     result, expected = _rediscover(target, exponent, digits)

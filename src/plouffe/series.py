@@ -5,7 +5,7 @@ independent zeta oracles for cross-checking.
 With q = e^(-pi r), S_n(s r) = sum_k 1/(k^n (e^(pi s r k) - 1)) is the power
 series sum_{s|M} sigma_{-n}(M/s) q^M, sigma_{-n}(m) = sum_{d|m} d^(-n).  So a
 rational combination such as a S_n(1) + b S_n(2) + c S_n(4) is one q-series,
-summed once in fixed-point integers (`fixed.q_series`, wrapped by
+summed once in fixed-point integers (`fixed.q_sums`, wrapped by
 :func:`_s_raw`) up to a proven tail bound (:func:`truncation_index`), with no
 full-precision division.  Its N small rational coefficients make it a
 polynomial in one fixed q, which rectangular splitting evaluates with about
@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import Target, triple_for
-from .fixed import q_series, ratio, truncation_index  # noqa: F401  (public here too)
+from .fixed import q_sums, ratio, truncation_index  # noqa: F401  (public here too)
 from .oracles import apery_fixed, zeta_fixed
 from .precision import GUARD, PrecisionReal, from_fixed
 
@@ -52,10 +52,10 @@ class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
 
 def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)):
     """sum_s w_s S_n(s r) (T_n with plus_one) as an exact mpf with absolute
-    error below 10**-target_digits: `fixed.q_series` at the exact rational
-    of r, an int, Fraction, float or mpf."""
-    return from_fixed(*q_series(n, Fraction(*ratio(r)), target_digits, plus_one, extra_terms,
-                                weights))
+    error below 10**-target_digits: `fixed.q_sums` of one output at the exact
+    rational of r, an int, Fraction, float or mpf."""
+    (m,), prec = q_sums(n, Fraction(*ratio(r)), target_digits, [weights], plus_one, extra_terms)
+    return from_fixed(m, prec)
 
 
 def s_series(spec):

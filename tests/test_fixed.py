@@ -1,6 +1,7 @@
 """The integer fixed-point layer: pi, e^(-x) and q = e^(-pi r) against
-mpmath's floors, values independent of the call order, and an `eval` that
-runs with mpmath unavailable.
+mpmath's floors, the shared kernel pass against mpmath and against each
+sum alone, values independent of the call order, and an `eval` that runs
+with mpmath unavailable.
 """
 
 import os
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plouffe import fixed
+from plouffe.bernoulli import triple_for
 from plouffe.cli import main
 from plouffe.series import eval_pi_power
 
@@ -112,6 +114,50 @@ def test_threads_share_the_pi_memo_safely(fresh_pi):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert wrong == []
+
+
+def lambert(n, rate, plus_one):
+    """S_n(rate), or T_n(rate) with plus_one, summed by mpmath to 10 places
+    past the ambient precision (its terms fall at least fivefold)."""
+    x, total, k, eps = mp.pi * rate.numerator / rate.denominator, mp.mpf(0), 1, mp.eps / 1e10
+    while True:
+        term = 1 / (mp.mpf(k) ** n * (mp.exp(x * k) + (1 if plus_one else -1)))
+        total += term
+        if term < eps:
+            return total
+        k += 1
+
+
+OUTPUT = st.lists(st.tuples(st.sampled_from((1, 2, 4, 8)),
+                            st.fractions(-1000, 1000, max_denominator=60).filter(bool)),
+                  min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 41), plus_one=st.booleans(),
+       rate=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2))),
+       triple=st.tuples(st.sampled_from(("pi", "zeta")), st.integers(1, 20).map(lambda i: 2 * i + 1)),
+       others=st.lists(OUTPUT, max_size=3), position=st.integers(0, 3),
+       digits=st.integers(1, 400))
+@example(n=5, plus_one=False, rate=Fraction(1), triple=("pi", 5),
+         others=[((1, 1),), ((2, 1),), ((4, 1),)], position=3, digits=400)
+def test_shared_pass_matches_mpmath_and_each_sum_alone(n, plus_one, rate, triple, others,
+                                                       position, digits):
+    outputs = others[:position] + [triple_for(*triple).weights()] + others[position:]
+    sums, prec = fixed.q_sums(n, rate, digits, outputs, plus_one)
+    assert fixed.q_sums(n, rate, digits, outputs, plus_one) == (sums, prec)
+    assert fixed.q_sums(n, rate, digits, outputs[::-1], plus_one) == (sums[::-1], prec)
+    size = max(abs(w) for weights in outputs for _, w in weights)
+    with mp.workdps(digits + 30 + int(size).bit_length() // 3):
+        series = {s: lambert(n, s * rate, plus_one) for s in (1, 2, 4, 8)}
+        for weights, m in zip(outputs, sums):
+            reference = mp.fsum(series[s] * w.numerator / w.denominator for s, w in weights)
+            assert abs(mp.ldexp(m, -prec) - reference) < mp.mpf(10) ** -digits
+            # the same truncation alone, so only the roundings differ, each
+            # under 10**-(digits + 1)
+            (alone,), alone_prec = fixed.q_sums(n, rate, digits, [weights], plus_one)
+            gap = abs((m << alone_prec) - (alone << prec))
+            assert gap * 10 ** (digits + 1) < 2 << (prec + alone_prec)
 
 
 def test_values_do_not_depend_on_the_call_order(fresh_pi):

@@ -1,13 +1,13 @@
 """The integer oracles: Machin's pi is exactly floor(pi 2^prec), and its
-powers, the pi-power targets of `discover`, keep their error bound; both
-against mpmath."""
+powers, the pi-power targets of `discover`, and the eta oracle's zeta(s)
+keep their error bounds; all against mpmath."""
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plouffe.oracles import machin_pi, pi_power
+from plouffe.oracles import machin_pi, pi_power, zeta_fixed
 
 
 def mpmath_floor(value, prec):
@@ -31,4 +31,21 @@ def test_pi_power_is_within_its_bound(k, digits):
     m, prec = pi_power(k, digits)
     with mp.workdps(digits + k + 30):
         error = abs(mp.ldexp(m, -prec) - mp.pi ** k)
+        assert error < mp.mpf(10) ** -digits
+
+
+# (9, 2036) and (17, 2036): zeta targets of a discover near 2000 digits, at
+# its accuracy; D = 145, 229 and 232 are the only D <= 2100 where the eta
+# sum runs unshifted.
+@settings(max_examples=12, deadline=None)
+@given(s=st.integers(2, 60), digits=st.integers(1, 2100))
+@example(s=9, digits=2036)
+@example(s=17, digits=2036)
+@example(s=2, digits=145)
+@example(s=3, digits=229)
+@example(s=60, digits=1)
+def test_zeta_fixed_is_within_its_bound(s, digits):
+    m, prec = zeta_fixed(s, digits)
+    with mp.workdps(digits + 30):
+        error = abs(mp.ldexp(m, -prec) - mp.zeta(s))
         assert error < mp.mpf(10) ** -digits

@@ -273,8 +273,8 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
     monkeypatch.setattr(identities, "term_values", computed)
     monkeypatch.setattr(series, "_s_raw", computed)
     # and the kernel and the oracles themselves, wherever they are bound
-    for module in (fixed, series, relations):
-        monkeypatch.setattr(module, "q_series", computed)
+    for module in (fixed, series, relations, identities):
+        monkeypatch.setattr(module, "q_sums", computed)
     for name in ("pi_power", "zeta_fixed"):
         monkeypatch.setattr(relations, name, computed)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
