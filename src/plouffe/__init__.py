@@ -12,11 +12,11 @@ from .bernoulli import (CoefficientTriple, Target, bernoulli, d_coeff, e_coeff, 
 # The names of the other layers, by home module, bound on first access
 # (PEP 562): importing the package loads only the exact Bernoulli layer.
 _LAZY = {
-    "fixed": ("decimal_string", "truncation_index"),
+    "fixed": ("agreement_digits", "decimal_string", "truncation_index"),
     "identities": ("ResidualReport", "ramanujan_residual", "symmetric_point_residual",
                    "triple_residual", "ts_identity_residual", "verify_all",
                    "vepstas_residual", "zeta_4m1_residual"),
-    "precision": ("PrecisionReal", "agreement_digits", "pi_const"),
+    "precision": ("PrecisionReal", "pi_const"),
     "relations": ("RelationNotFoundError", "RelationResult", "min_digits_for", "pslq",
                   "rediscover_triple"),
     "series": ("SeriesSpec", "apery_zeta3", "eval_pi_power", "eval_zeta_odd",

@@ -23,8 +23,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 # The other layers, json and tempfile are imported where they are used, so
-# that coeffs, table and bernoulli start without them, eval without mpmath
-# unless it checks, and discover without mpmath unless it prints JSON.
+# that coeffs, table and bernoulli start without them.  No command imports
+# mpmath: every value and residual is an exact integer or rational.
 from .bernoulli import Target, bernoulli, format_rational, memo_preload, memo_snapshot, triple_for
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
@@ -121,13 +121,13 @@ def _cmd_eval(args):
     lines = [text]
     row = [args.target, str(args.exponent), str(args.digits), text]
     if args.check:
-        from .identities import target_term, term_values
-        from .precision import PrecisionReal, agreement_digits, from_fixed
+        from .fixed import agreement_digits
+        from .oracles import pi_power, zeta_fixed
 
-        term = target_term(triple.target, args.exponent)
-        oracle = PrecisionReal(term_values([term], args.digits + GUARD)[term], args.digits)
-        value = PrecisionReal(from_fixed(mantissa, prec), args.digits)
-        agree = min(agreement_digits(value, oracle), args.digits)
+        oracle = pi_power if triple.target is Target.PI_POWER else zeta_fixed
+        m, oracle_prec = oracle(args.exponent, args.digits + GUARD)
+        agree = min(agreement_digits(Fraction(mantissa, 1 << prec), Fraction(m, 1 << oracle_prec)),
+                    args.digits)
         result["oracle_agreement_digits"] = agree
         lines.append(f"agrees with oracle to >={agree} digits")
         row.append(str(agree))
@@ -140,14 +140,15 @@ def _cmd_eval(args):
 def _cmd_verify(args):
     import json
 
-    from .identities import verify_all
+    from .identities import _run, _verify_checks
 
-    reports = verify_all(args.max_m, args.digits)
+    reports = _run(_verify_checks(args.max_m), args.digits)
     _emit(args, None, {"plain": [json.dumps([r.to_json_dict() for r in reports], indent=2)]})
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_discover(args):
+    from .fixed import nstr
     from .relations import RelationNotFoundError, _rediscover
 
     try:
@@ -164,15 +165,9 @@ def _cmd_discover(args):
             "canonical_vector": list(result.vector),
             "formula": formula,
             "iterations": result.iterations,
-            "residual": None,
+            "residual": nstr(result.residual[0], 5, -result.residual[1]),
         },
         "digits": args.digits}
-    if args.format == "json":  # only the printed residual needs mpmath
-        import mpmath as mp
-
-        from .precision import from_fixed
-
-        record["result"]["residual"] = mp.nstr(from_fixed(*result.residual), 5)
     _emit(args, record, {"plain": [vector_text, formula]})
     return 0
 

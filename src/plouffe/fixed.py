@@ -1,12 +1,13 @@
-"""Integer fixed point with no mpmath, on which `eval` runs alone: pi, e^(-x),
-the weighted q-series kernel behind every S/T value, and exact rendering.
+"""Integer fixed point with no mpmath, on which the CLI runs: pi, e^(-x), the
+weighted q-series kernel behind every S/T value, and exact rendering (the
+correctly rounded `decimal_string`, and `nstr`, mpmath's short form).
 A value is m 2^-prec for an integer m, its error stated in units of 2^-prec.
 pi is Chudnovsky's series by binary splitting, and e^(-x) Taylor with
 argument halving and squaring (Brent & Zimmermann, Modern Computer
 Arithmetic, 4.4), as mpmath runs them on its pure-Python backend."""
 
 import math
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal, ROUND_FLOOR, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
 GUARD = 20  # decimal places computed beyond the requested digits
@@ -194,8 +195,10 @@ def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
 
 
 def ratio(x):
-    """x as an exact (numerator, denominator) pair: an mpf from its raw
-    (sign, mantissa, exponent), anything else through `Fraction`."""
+    """x as an exact (numerator, denominator) pair: a PrecisionReal by its
+    value, an mpf from its raw (sign, mantissa, exponent), anything else
+    through `Fraction`."""
+    x = getattr(x, "mpf", x)
     if not hasattr(x, "_mpf_"):
         return Fraction(x).as_integer_ratio()
     sign, man, exp, _ = x._mpf_
@@ -231,3 +234,91 @@ def decimal_string(x, sig_digits, exponent=0):
         # fewer requested digits than integer places: keep the count visible
         return format(r, "e")
     return format(r, "f")
+
+
+def agreement_digits(a, b):
+    """Decimal digits of absolute agreement of two exact values (each
+    anything `ratio` takes): floor(-log10 |a - b|), or the sentinel 10**6
+    when they are equal."""
+    num, den = abs(Fraction(*ratio(a)) - Fraction(*ratio(b))).as_integer_ratio()
+    if not num:
+        return 10 ** 6
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 20, ROUND_FLOOR
+        lead = (Decimal(num) / Decimal(den)).adjusted()  # floor(log10 |a - b|), exactly
+    return -lead - (num * 10 ** max(-lead, 0) != den * 10 ** max(lead, 0))
+
+
+# floor(ln 2 2^128) and floor(ln 10 2^126), from which mpmath's ln 2 and ln 10
+# at up to 128 bits are right shifts
+_LN2, _LN10 = 0xb17217f7d1cf79abc9e3b39803f2f6af, 0x935d8dddaaa8ac16ea56d62b82d30a28
+
+
+def _cut(man, exp, bits, up=False):
+    """man 2**exp, man > 0, rounded down (or up) to `bits` significant bits."""
+    extra = max(0, man.bit_length() - bits)
+    return (-(-man >> extra) if up else man >> extra), exp + extra
+
+
+def _pow10(n, bits, up):
+    """10**n, n >= 0, as mpmath's mpf_pow_int rounds it down (or up) to
+    `bits`: exact below n = 334, else binary powering, each step cut to
+    bits + 4 bitlen(n) + 4 bits."""
+    if 3 * n < 1000:
+        return _cut(5 ** n, n, bits, up)
+    work, (pm, pe), (man, exp) = bits + 4 * n.bit_length() + 4, (1, 0), (5, 1)
+    while True:
+        if n & 1:
+            pm, pe = _cut(pm * man, pe + exp, work, up)
+            n -= 1
+            if not n:
+                return _cut(pm, pe, bits, up)
+        man, exp = _cut(man * man, 2 * exp, work, up)
+        n //= 2
+
+
+def _div(am, ae, bm, be, bits):
+    """(am 2**ae) / (bm 2**be) rounded down to `bits` significant bits."""
+    shift = max(0, bits + bm.bit_length() - am.bit_length() + 1)
+    return _cut((am << shift) // bm, ae - be - shift, bits)
+
+
+def nstr(x, dps, exponent=0):
+    """mpmath's nstr(x, dps), without mpmath, for the exact dyadic
+    x 2**exponent (an mpf, float, int or Fraction over a power of two).
+
+    As mpmath's `to_str`: truncate x to dps + 3 digits through a fixed-point
+    value of B = int((dps + 3) log2 10) + 10 bits, x first divided by a power
+    of ten (both at B bits, rounded as mpmath rounds them) when its leading
+    bit lies past 2**3500 either way; round half up at dps digits on those
+    digits; strip trailing zeros; use fixed notation when the decimal
+    exponent lies strictly between min(-(dps // 3), -5) and dps.
+    """
+    num, den = ratio(x)
+    if den & (den - 1):
+        raise ValueError(f"nstr needs a dyadic value, got denominator {den}")
+    if not num:
+        return "0.0"
+    sign, man = "-" if num < 0 else "", abs(num)
+    zeros = (man & -man).bit_length() - 1  # mpmath's mantissa is odd
+    man, exp = man >> zeros, exponent - den.bit_length() + 1 + zeros
+    bits, power = int((dps + 3) * math.log(10, 2)) + 10, 0
+    if abs(exp + man.bit_length()) > 3500:
+        cut = 123 - abs(exp).bit_length()  # ln 2 and ln 10 at bitlen(|exp|) + 5 bits
+        power = abs(exp) * (_LN2 >> cut) // (_LN10 >> cut << 2) * (1 if exp > 0 else -1)
+        ten = _pow10(power, bits, False) if power >= 0 else \
+            _div(1, 0, *_pow10(-power, bits + 5, True), bits)
+        man, exp = _div(man, exp, *ten, bits)
+    fixprec = max(bits - exp - man.bit_length(), 0)
+    fixdps, shift = int(fixprec / math.log(10, 2) + 0.5), exp + fixprec
+    digits = str(Decimal((man << shift if shift >= 0 else man >> -shift) * 10 ** fixdps >> fixprec))
+    power += len(digits) - fixdps - 1
+    if digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        power += len(digits) > dps  # 99..9 carried to 100..0
+    digits, split = digits[:dps], 1
+    if min(-(dps // 3), -5) < power < dps:  # fixed notation
+        digits, split = ("0" * -power + digits, 1) if power < 0 else (digits, power + 1)
+        power = 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return sign + text + ("0" if text.endswith(".") else "") + (f"e{power:+d}" if power else "")

@@ -12,22 +12,22 @@ rounded before :func:`_run` fixes the precision with the one rule in
 :func:`places`; it evaluates each distinct term once.
 
 Every zeta value comes from the independent alternating-eta oracle, never
-from the three-series assembly, so a passing residual is evidence and not
-circularity.  A report passes when the absolute residual is below
-10**-digits, the contract every value is computed to; the residual itself is
-accurate to 10**-(digits + GUARD).
+from the three-series assembly, and every power of pi from Machin's formula
+(`oracles.pi_power`), never from the kernel's pi, so a passing residual is
+evidence and not circularity.  A report passes when the exact absolute
+residual is below 10**-digits, the contract every value is computed to; the
+residual itself is accurate to 10**-(digits + GUARD).  Values are integers
+m 2**-prec and residuals exact rationals, with no mpmath: only `_public`,
+behind the public entry points, makes PrecisionReals.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-import mpmath as mp
-
 from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
-from .fixed import places, q_sums, ratio
-from .precision import GUARD, PrecisionReal, from_fixed, to_mpf
-from .series import _s_raw, _zeta_ref_raw
+from .fixed import GUARD, nstr, pi_fixed, places, q_sums, ratio
+from .oracles import pi_power, zeta_fixed
 
 
 class ResidualReport(namedtuple("ResidualReport", "identity parameters residual digits passed")):
@@ -37,7 +37,7 @@ class ResidualReport(namedtuple("ResidualReport", "identity parameters residual 
         return {
             "identity": self.identity,
             "parameters": self.parameters,
-            "residual": mp.nstr(self.residual.mpf, 5),
+            "residual": nstr(self.residual, 5),
             "digits": self.digits,
             "pass": self.passed,
         }
@@ -50,64 +50,86 @@ def series_term(n, rate, plus_one=False, weights=((1, 1),)):
     return ("S", n, rate, plus_one, tuple(weights))
 
 
-def _mpf(x):
-    """A coefficient or rate at the ambient precision."""
+def _rho_j(x):
+    """A coefficient or rate as (rho, j), rho a Fraction, for rho pi^j."""
     rho, j = x if isinstance(x, tuple) else (x, 0)
-    return to_mpf(Fraction(rho)) * (+mp.pi) ** j
+    return Fraction(rho), j
 
 
 def term_values(terms, accuracy):
-    """{term: value}, each within 10**-accuracy; the S terms of one (n, plus_one)
-    at integer multiples of their lowest rational rate share one `q_sums` pass."""
+    """{term: (m, prec)} for S and zeta terms, each value m 2**-prec within
+    10**-accuracy.  The S terms of one (n, plus_one) at integer multiples of
+    their lowest rate share one `q_sums` pass, and the rest take further
+    passes; a rate rho pi^j is taken exactly with `pi_fixed` at accuracy + 10
+    places."""
     groups, values = {}, {}
+    bits = math.ceil((accuracy + 10) * math.log2(10))
     for term in terms:
-        if term[0] == "S" and isinstance(term[2], (int, Fraction)):
-            groups.setdefault((term[1], term[3]), []).append(term)
+        if term[0] == "zeta":
+            values[term] = zeta_fixed(term[1], accuracy)
+        else:
+            rho, j = _rho_j(term[2])
+            rate = rho * Fraction(pi_fixed(bits), 1 << bits) ** j if j else rho
+            groups.setdefault((term[1], term[3]), []).append((rate, term))
     for (n, plus_one), group in groups.items():
-        base = Fraction(min(t[2] for t in group))
-        group = [t for t in group if (t[2] / base).denominator == 1]
-        sums, prec = q_sums(n, base, accuracy, [tuple((s * int(t[2] / base), w) for s, w in t[4])
-                                                 for t in group], plus_one)
-        values.update((t, from_fixed(m, prec)) for t, m in zip(group, sums))
-    for term in (term for term in terms if term not in values):
-        kind, *args = term
-        with mp.workdps(places(accuracy, mp.pi ** args[0] if kind == "pi" else 1) + 10):
-            if kind == "S":
-                n, rate, plus_one, weights = args
-                values[term] = _s_raw(n, _mpf(rate), accuracy, plus_one, weights=weights)
-            elif kind == "zeta":
-                values[term] = _zeta_ref_raw(args[0], accuracy)
-            else:
-                values[term] = (+mp.pi) ** args[0]
+        while group:
+            base = min(rate for rate, _ in group)
+            shared = [(rate, term) for rate, term in group if (rate / base).denominator == 1]
+            weights = [tuple((s * int(rate / base), w) for s, w in t[4]) for rate, t in shared]
+            sums, prec = q_sums(n, base, accuracy, weights, plus_one)
+            values.update((term, (m, prec)) for (_, term), m in zip(shared, sums))
+            group = [pair for pair in group if pair not in shared]
     return values
 
 
 def _run(checks, digits):
-    """Reports for (identity, parameters, form) checks, whose residuals
-    |sum c v| have absolute error below 10**-(digits + GUARD): a form of N
-    pairs with coefficients up to C needs its terms to places(digits + GUARD,
-    N C).  Each distinct term is evaluated once, to the accuracy the most
-    demanding form needs.
+    """Reports for (identity, parameters, form) checks, residuals exact.
+
+    A form of N pairs with coefficients up to C (bounded with 3 < pi < 4)
+    needs its S and zeta terms to places(digits + GUARD, N C), and each
+    distinct term is evaluated once, to the most demanding form's accuracy.
+    A form's pairs are summed exactly by power j of pi, ("pi", k) being 1 at
+    j + k, each sum A_j over one denominator 2**P, then multiplied by pi^j
+    from `pi_power` at places(accuracy + 1, A_j) for the largest A_j.  So
+    the terms leave the residual off by under 10**-(digits + GUARD), and
+    each pi^j by 10**-(accuracy + 1).  A report passes when the exact
+    |residual| is below 10**-digits; it holds |residual| cut to 2**-(P + 64).
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    forms = [form for _, _, form in checks]
-    accuracy = max(places(digits + GUARD, len(form) * max(abs(_mpf(c)) for c, _ in form))
-                   for form in forms)
-    values = term_values(dict.fromkeys(term for form in forms for _, term in form), accuracy)
-    threshold = mp.mpf(10) ** -digits
+    forms = [[(*_rho_j(c), term) for c, term in form] for _, _, form in checks]
+    accuracy = max(places(digits + GUARD, len(form) * max(
+        abs(rho) * Fraction(4 if j > 0 else 3) ** j for rho, j, _ in form)) for form in forms)
+    values = term_values(dict.fromkeys(t for form in forms for *_, t in form if t[0] != "pi"),
+                         accuracy)
+    P = max((prec for _, prec in values.values()), default=0)
+    sums = [{} for _ in forms]  # per form, {j: A_j 2**P}
+    for form, groups in zip(forms, sums):
+        for rho, j, term in form:
+            m, prec = values.get(term, (1, 0))  # ("pi", k): 1 at pi^(j + k)
+            j += term[1] if term[0] == "pi" else 0
+            groups[j] = groups.get(j, 0) + rho * (m << (P - prec))
+    places_pi = max((places(accuracy + 1, int(abs(a)) >> P) for groups in sums
+                     for j, a in groups.items() if j), default=0)
+    pis = {0: 1}
+    for k in {abs(j) for groups in sums for j in groups} - {0}:
+        m, prec = pi_power(k, places_pi)
+        pis[k], pis[-k] = Fraction(m, 1 << prec), Fraction(1 << prec, m)
     reports = []
-    for identity, parameters, form in checks:
-        with mp.workdps(places(accuracy, max(abs(_mpf(c) * values[t]) for c, t in form)) + 10):
-            residual = abs(mp.fsum(_mpf(c) * values[t] for c, t in form))
-        reports.append(ResidualReport(identity, parameters, PrecisionReal(residual, digits),
-                                      digits, bool(residual < threshold)))
+    for (identity, parameters, _), groups in zip(checks, sums):
+        total = abs(sum(a * pis[j] for j, a in groups.items()))
+        reports.append(ResidualReport(identity, parameters,
+                                      Fraction(math.floor(total * 2 ** 64), 1 << (P + 64)), digits,
+                                      total * 10 ** digits < 1 << P))
     return reports
 
 
-def _exact(x):
-    """x as an exact Fraction (an mpf is a dyadic rational)."""
-    return Fraction(*ratio(x.mpf if isinstance(x, PrecisionReal) else x))
+def _public(reports):
+    """The reports with each exact residual as a PrecisionReal."""
+    from .precision import PrecisionReal, from_fixed
+
+    return [r._replace(residual=PrecisionReal(from_fixed(
+        r.residual.numerator, r.residual.denominator.bit_length() - 1), r.digits)) for r in reports]
 
 
 def _bernoulli_pair_term(n, k):
@@ -118,7 +140,7 @@ def _bernoulli_pair_term(n, k):
 
 def _ramanujan(alpha, n):
     """The check at alpha = rho pi^j, given as a plain tuple (rho, j), or at an exact alpha."""
-    rho, j = alpha if type(alpha) is tuple else (_exact(alpha), 0)
+    rho, j = alpha if type(alpha) is tuple else (Fraction(*ratio(alpha)), 0)
     if n < 1:
         raise ValueError("n must be >= 1")
     if rho <= 0:
@@ -134,7 +156,7 @@ def _ramanujan(alpha, n):
         if coeff:  # 4^n (-1)^k [pair] alpha^(n+1-k) beta^k
             form.append((4 ** n * (-1) ** k * coeff * rho ** (n + 1 - 2 * k),
                          ("pi", j * (n + 1 - k) + (2 - j) * k)))
-    return "ramanujan", {"alpha": mp.nstr(mp.mpf(float(rho) * math.pi ** j), 10), "n": n}, form
+    return "ramanujan", {"alpha": nstr(float(rho) * math.pi ** j, 10), "n": n}, form
 
 
 def ramanujan_residual(alpha, n, digits):
@@ -147,7 +169,7 @@ def ramanujan_residual(alpha, n, digits):
     Holds for every alpha > 0 and n >= 1; checked numerically at the given
     precision, at alpha taken exactly, with zeta from the independent oracle.
     """
-    return _run([_ramanujan(alpha, n)], digits)[0]
+    return _public(_run([_ramanujan(alpha, n)], digits))[0]
 
 
 def _symmetric_point(n):
@@ -167,7 +189,7 @@ def symmetric_point_residual(n, digits):
     Even n is rejected: F_n = 0 makes both sides vanish identically, so a
     residual check there would pass vacuously.
     """
-    return _run([_symmetric_point(n)], digits)[0]
+    return _public(_run([_symmetric_point(n)], digits))[0]
 
 
 def _zeta_4m1(m):
@@ -187,7 +209,7 @@ def zeta_4m1_residual(m, digits):
 
     with S = S_(4m+1).  m = 0 is rejected (the denominator vanishes).
     """
-    return _run([_zeta_4m1(m)], digits)[0]
+    return _public(_run([_zeta_4m1(m)], digits))[0]
 
 
 def _vepstas(m):
@@ -209,13 +231,13 @@ def vepstas_residual(m, digits):
 
     with S, T at exponent 4m+1 and T from the companion-series evaluator.
     """
-    return _run([_vepstas(m)], digits)[0]
+    return _public(_run([_vepstas(m)], digits))[0]
 
 
 def _ts_identity(n, rate):
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = _exact(rate)
+    x = Fraction(*ratio(rate))
     if x <= 0:
         raise ValueError("rate must be positive")
     return "ts_identity", {"n": n, "rate": str(rate)}, [
@@ -224,25 +246,35 @@ def _ts_identity(n, rate):
 
 def ts_identity_residual(n, rate, digits):
     """Residual of T_n(x) = S_n(x) - 2 S_n(2x) at rate x."""
-    return _run([_ts_identity(n, rate)], digits)[0]
-
-
-def target_term(target, exponent):
-    """The oracle term for pi**exponent or zeta(exponent)."""
-    return ("pi" if Target(target) is Target.PI_POWER else "zeta", exponent)
+    return _public(_run([_ts_identity(n, rate)], digits))[0]
 
 
 def _triple(target, exponent):
     triple = triple_for(target, exponent)
     return "triple", {"target": triple.target.value, "exponent": exponent}, [
         (1, series_term(exponent, 1, weights=triple.weights())),
-        (-1, target_term(triple.target, exponent))]
+        (-1, ("pi" if triple.target is Target.PI_POWER else "zeta", exponent))]
 
 
 def triple_residual(target, exponent, digits):
     """Residual of a*S(1) + b*S(2) + c*S(4) against an independent oracle
     (pi**exponent, or the alternating-eta zeta value)."""
-    return _run([_triple(target, exponent)], digits)[0]
+    return _public(_run([_triple(target, exponent)], digits))[0]
+
+
+def _verify_checks(max_m):
+    """The (identity, parameters, form) checks of `verify_all`."""
+    if max_m < 1:
+        raise ValueError("max_m must be >= 1")
+    ms, exponents = range(1, max_m + 1), range(1, 4 * max_m + 2, 2)
+    alphas = ((Fraction(1), 1), (Fraction(1, 2), 1), (Fraction(2), 1))  # pi, pi/2, 2 pi
+    checks = [_ramanujan(alpha, n) for n in range(1, 2 * max_m + 1) for alpha in alphas]
+    checks += [_symmetric_point(2 * m - 1) for m in ms]
+    checks += [_zeta_4m1(m) for m in ms] + [_vepstas(m) for m in ms]
+    checks += [_ts_identity(e, rate) for e in exponents for rate in (1, 2)]
+    checks += [_triple(target, e) for e in exponents for target in Target
+               if target is Target.PI_POWER or e >= 3]
+    return checks
 
 
 def verify_all(max_m, digits):
@@ -257,14 +289,4 @@ def verify_all(max_m, digits):
       - ts_identity: odd exponents <= 4*max_m+1, rates {1, 2}
       - triple: pi for every odd exponent <= 4*max_m+1, zeta for those >= 3
     """
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
-    ms, exponents = range(1, max_m + 1), range(1, 4 * max_m + 2, 2)
-    alphas = ((Fraction(1), 1), (Fraction(1, 2), 1), (Fraction(2), 1))  # pi, pi/2, 2 pi
-    checks = [_ramanujan(alpha, n) for n in range(1, 2 * max_m + 1) for alpha in alphas]
-    checks += [_symmetric_point(2 * m - 1) for m in ms]
-    checks += [_zeta_4m1(m) for m in ms] + [_vepstas(m) for m in ms]
-    checks += [_ts_identity(e, rate) for e in exponents for rate in (1, 2)]
-    checks += [_triple(target, e) for e in exponents for target in Target
-               if target is Target.PI_POWER or e >= 3]
-    return _run(checks, digits)
+    return _public(_run(_verify_checks(max_m), digits))

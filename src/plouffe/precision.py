@@ -7,9 +7,11 @@ absorb rounding noise, so the contract is stated in ``D`` alone.
 
 Exact rational arithmetic is :class:`fractions.Fraction`, which already
 guarantees a reduced numerator/denominator pair with a positive
-denominator.  Real arithmetic is backed by mpmath.  A value is a named tuple
-(mpf, digits); a (rho, j) pair in `identities` is a plain tuple.  mpmath's
-precision context is process-global, so evaluate concurrently in processes.
+denominator.  This module is the Python API's mpmath layer: a value is a
+named tuple (mpf, digits), which the library's exact integers and
+rationals become only for the API; no CLI command imports this module or
+mpmath.  mpmath's precision context is process-global, so evaluate
+concurrently in processes.
 """
 
 from collections import namedtuple
@@ -19,7 +21,7 @@ import mpmath as mp
 
 # public here too; their homes import no mpmath
 from .bernoulli import format_rational  # noqa: F401
-from .fixed import GUARD, decimal_string  # noqa: F401
+from .fixed import GUARD, agreement_digits, decimal_string  # noqa: F401
 
 
 def to_mpf(value):
@@ -73,16 +75,3 @@ def pi_const(digits):
         raise ValueError("digits must be >= 1")
     with mp.workdps(digits + GUARD):
         return PrecisionReal(+mp.pi, digits)
-
-
-def agreement_digits(a, b):
-    """Decimal digits of absolute agreement of two PrecisionReals:
-    floor(-log10 |a - b|).
-
-    Returns a large sentinel (10**6) when the two values are identical.
-    """
-    with mp.workdps(max(a.digits, b.digits) + GUARD + 10):
-        diff = abs(a.mpf - b.mpf)
-        if diff == 0:
-            return 10 ** 6
-        return int(mp.floor(-mp.log10(diff)))

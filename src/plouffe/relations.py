@@ -123,9 +123,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         raise ValueError("pslq needs at least 2 values")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    from .precision import PrecisionReal
-
-    X, e = _rounded([ratio(v.mpf if isinstance(v, PrecisionReal) else v) for v in values], digits)
+    X, e = _rounded([ratio(v) for v in values], digits)
     return _public(_pslq(X, e, digits, max_coeff_bound), digits)
 
 

@@ -1,9 +1,10 @@
 """The integer fixed-point layer: pi, e^(-x) and q = e^(-pi r) against
 mpmath's floors, the shared kernel pass against mpmath and against each
-sum alone, values independent of the call order, and an `eval` that runs
-with mpmath unavailable.
+sum alone, values independent of the call order, `nstr` against mpmath's,
+and an `eval` that runs with mpmath unavailable.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,70 @@ def test_ratio_is_exact_and_rejects_non_finite_values():
             fixed.ratio(value)
 
 
+@st.composite
+def near_decimals(draw):
+    """(m, e) for m 2**e next to, or at, d 10**k: d a tie or a carry at 5 or
+    10 digits (9.99995 rounds up to 10.000), k inside the fixed-notation
+    window, around +-300 or +-1200, or anywhere in +-1300."""
+    d = draw(st.sampled_from([999995, 123445, 100005, 99999, 5, 99999999995, 12345678905]))
+    k = draw(st.one_of(st.integers(-12, 12), st.sampled_from([-1200, -300, 300, 1200]),
+                       st.integers(-1300, 1300)))
+    value = d * Fraction(10) ** k
+    if value.denominator == 1 and draw(st.booleans()):
+        return value.numerator, 0  # the tie itself
+    num, den = value.as_integer_ratio()
+    shift = draw(st.integers(20, 140)) - num.bit_length() + den.bit_length()
+    return math.floor(value * Fraction(2) ** shift) + draw(st.integers(-1, 1)), -shift
+
+
+DYADICS = st.one_of(
+    near_decimals(),
+    st.tuples(st.integers(-2 ** 200, 2 ** 200),
+              st.one_of(st.integers(-80, 80), st.integers(-4300, 4300))),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.just(0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dyadic=DYADICS)
+@example(dyadic=(9.99995e-300, 0))
+@example(dyadic=(999995 * 10 ** 1195, 0))
+@example(dyadic=(0, 0))
+# where mpmath's power of ten, from ln 2 and ln 10 at few bits, or its rounding
+# of 10**-1388 decide the digits
+@example(dyadic=(123445 * 10 ** 1259, 0))
+@example(dyadic=(1001362694914403195, -3787))
+@example(dyadic=(78833629391487, -4657))
+def test_nstr_is_mpmaths_nstr(dyadic):
+    # floats, ints and Fractions over powers of two are the exact dyadics mpmath holds
+    m, e = dyadic
+    exact = Fraction(m) * Fraction(2) ** e
+    num, den = exact.as_integer_ratio()
+    x = mp.make_mpf(mp.libmp.from_man_exp(num, 1 - den.bit_length()))  # exact, not rounded
+    for dps in (5, 10):
+        expected = mp.nstr(x, dps)
+        assert fixed.nstr(exact, dps) == expected
+        assert fixed.nstr(x, dps) == expected
+        assert fixed.nstr(m, dps, e) == expected
+
+
+def test_nstr_rejects_a_value_mpmath_cannot_hold():
+    with pytest.raises(ValueError, match="dyadic"):
+        fixed.nstr(Fraction(1, 3), 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.fractions(), b=st.fractions(), scale=st.integers(-3000, 3000))
+@example(a=Fraction(1, 10), b=Fraction(0), scale=-3)  # |a - b| = 10**-4 exactly
+@example(a=Fraction(3), b=Fraction(2), scale=0)
+def test_agreement_digits_is_the_floor_of_minus_log10(a, b, scale):
+    a, b = a * Fraction(10) ** scale, b * Fraction(10) ** scale
+    k = fixed.agreement_digits(a, b)
+    if a == b:
+        assert k == 10 ** 6
+    else:
+        assert Fraction(10) ** -(k + 1) < abs(a - b) <= Fraction(10) ** -k
+
+
 # A fresh interpreter in which `import mpmath` fails.
 NO_MPMATH = """
 import contextlib, io, sys
@@ -211,7 +276,10 @@ def test_eval_runs_without_mpmath(monkeypatch, capsys, fmt):
     assert proc.stdout == f"0\n{capsys.readouterr().out}"
 
 
-def test_eval_check_needs_mpmath():
-    proc = without_mpmath("eval", "pi", "1", "--check")
-    assert proc.returncode != 0
-    assert "mpmath" in proc.stderr
+def test_eval_check_runs_without_mpmath(monkeypatch, capsys):
+    monkeypatch.delenv("PLOUFFE_CACHE", raising=False)
+    argv = ["eval", "pi", "1", "--check"]
+    proc = without_mpmath(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == f"0\n{capsys.readouterr().out}"

@@ -10,6 +10,7 @@ import mpmath as mp
 import pytest
 
 import plouffe.identities as identities
+from plouffe import fixed
 from plouffe.bernoulli import triple_for
 from plouffe.identities import (
     ramanujan_residual,
@@ -20,7 +21,7 @@ from plouffe.identities import (
     vepstas_residual,
     zeta_4m1_residual,
 )
-from plouffe.precision import pi_const
+from plouffe.precision import GUARD, pi_const
 
 
 def test_ramanujan_at_symmetric_point():
@@ -152,11 +153,56 @@ def test_verify_all_computes_each_zeta_value_once(monkeypatch):
         calls.append(s)
         return zeta_oracle(s, target_digits)
 
-    zeta_oracle = identities._zeta_ref_raw
-    monkeypatch.setattr(identities, "_zeta_ref_raw", counting)
+    zeta_oracle = identities.zeta_fixed
+    monkeypatch.setattr(identities, "zeta_fixed", counting)
     reports = identities.verify_all(3, 60)
     assert all(r.passed for r in reports)
     assert sorted(calls) == [3, 5, 7, 9, 11, 13]
+
+
+def mpmath_residual(form, places, cache):
+    """|sum c v| of a form in mpmath at `places`, every term from mpmath alone:
+    S_n and T_n by their defining sums, zeta(s) and pi^k."""
+    def number(x):
+        rho, j = x if isinstance(x, tuple) else (x, 0)
+        rho = Fraction(rho)
+        return mp.mpf(rho.numerator) / rho.denominator * mp.pi ** j
+
+    def lambert(n, r, plus_one):
+        total, k, sign = mp.mpf(0), 1, 1 if plus_one else -1
+        while True:
+            term = 1 / (mp.mpf(k) ** n * (mp.exp(mp.pi * r * k) + sign))
+            if term < mp.mpf(10) ** -(places + 10):
+                return total
+            total, k = total + term, k + 1
+
+    def value(term):
+        if term not in cache:
+            if term[0] == "pi":
+                cache[term] = mp.pi ** term[1]
+            elif term[0] == "zeta":
+                cache[term] = mp.zeta(term[1])
+            else:
+                _, n, rate, plus_one, weights = term
+                cache[term] = mp.fsum(number(w) * lambert(n, s * number(rate), plus_one)
+                                      for s, w in weights)
+        return cache[term]
+
+    with mp.workdps(places):
+        return abs(mp.fsum(number(c) * value(term) for c, term in form))
+
+
+@pytest.mark.parametrize("digits", [1, 30, 150])
+def test_exact_residuals_agree_with_mpmath(digits):
+    checks = identities._verify_checks(2) + [identities._ramanujan(1.3, 3)]
+    places, cache = digits + GUARD + 40, {}
+    reports = identities._run(checks, digits)
+    assert len(reports) == len(checks) == 17 * 2 + 3 + 1
+    for (identity, params, form), report in zip(checks, reports):
+        reference = Fraction(*fixed.ratio(mpmath_residual(form, places, cache)))
+        assert abs(report.residual - reference) < Fraction(1, 10 ** (digits + GUARD)), (identity,
+                                                                                        params)
+        assert report.passed
 
 
 def perturbed(coefficient):

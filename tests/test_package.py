@@ -1,13 +1,14 @@
 """The package's import cost and public surface.
 
 Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
-are exact Fraction arithmetic, `eval` without `--check` integer fixed
-point, and `discover` without `--format json` integers and `decimal`, so
-they start without mpmath, dataclasses or inspect.  The package resolves
-the names of its mpmath-backed layers on first access, with the same
-objects as their home modules.  The record types keep the value semantics
-of frozen dataclasses, and they pickle, so a process pool can return them.  Public entry points reject digits < 1 before
-they compute anything.
+are exact Fraction arithmetic, `eval` (with or without `--check`) and
+`verify` integer fixed point, and `discover` integers and `decimal`, so
+every command starts without mpmath, dataclasses or inspect, and prints
+its golden output with mpmath blocked.  The package resolves the names of
+its mpmath-backed layers on first access, with the same objects as their
+home modules.  The record types keep the value semantics of frozen
+dataclasses, and they pickle, so a process pool can return them.  Public
+entry points reject digits < 1 before they compute anything.
 """
 
 import copy
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from test_cli_golden import masked
 
 import plouffe
 from plouffe import fixed, identities, relations, series
@@ -64,28 +66,21 @@ def loaded_by(*commands):
     ("bernoulli 30", ("plain", "json")),
     ("eval zeta 5 --digits 30", ("plain", "csv", "json")),
     ("discover pi 7 --digits 200", ("plain",)),
+    ("eval zeta 3 --digits 20 --check", ("plain", "csv", "json")),
+    ("verify --max-m 1 --digits 10", (None,)),  # JSON, with no --format option
+    ("discover pi 3 --digits 50", ("json",)),
 ])
 def test_exact_commands_import_only_what_they_use(tmp_path, command, formats):
     for fmt in formats:
         cache = tmp_path / f"{fmt}.cache"
+        command_fmt = f"{command} --format {fmt}" if fmt else command
         # without a cache, then writing one, then reading it back
-        runs = [f"{command} --format {fmt}"] + [f"{command} --format {fmt} --cache {cache}"] * 2
+        runs = [command_fmt] + [f"{command_fmt} --cache {cache}"] * 2
         loaded = loaded_by(*runs)
         assert cache.exists()
         assert not loaded & EXACT_ONLY, (runs, loaded & EXACT_ONLY)
-        if fmt != "json":
+        if fmt not in ("json", None):
             assert "json" not in loaded, runs
-
-
-@pytest.mark.parametrize("command", [
-    "eval zeta 3 --digits 20 --check --format json",
-    "verify --max-m 1 --digits 10",
-    "discover pi 3 --digits 50 --format json",
-])
-def test_mpmath_commands_import_no_dataclasses(command):
-    loaded = loaded_by(command)
-    assert "mpmath" in loaded
-    assert "dataclasses" not in loaded
 
 
 # Runs one command in a fresh interpreter in which `import mpmath` fails.
@@ -97,13 +92,36 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_plain_discover_prints_the_golden_output_without_mpmath():
-    command = "discover pi 7 --digits 200"
+def without_mpmath(command):
+    """[exit code, stdout] of one command run with mpmath blocked, and the golden pair."""
     env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
     proc = subprocess.run([sys.executable, "-c", NO_MPMATH, *command.split()],
                           capture_output=True, text=True, env=env, timeout=120)
+    assert not proc.stderr, proc.stderr
     golden = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
-    assert [proc.returncode, proc.stdout] == golden[command], proc.stderr
+    return [proc.returncode, proc.stdout], golden[command]
+
+
+def test_plain_discover_prints_the_golden_output_without_mpmath():
+    run, golden = without_mpmath("discover pi 7 --digits 200")
+    assert run == golden
+
+
+@pytest.mark.parametrize("command", [
+    "eval zeta 9 --digits 200 --check --format json",
+    "discover zeta 5 --digits 120 --format json",
+])
+def test_checks_and_json_print_the_golden_output_without_mpmath(command):
+    run, golden = without_mpmath(command)
+    assert run == golden
+
+
+def test_verify_prints_the_golden_output_without_mpmath():
+    # the residual digits depend on the working precision; test_cli_golden masks them too
+    (code, out), (golden_code, golden_out) = without_mpmath("verify --max-m 1 --digits 60")
+    assert code == golden_code == 0
+    assert masked(out) == masked(golden_out)
+    assert all(record["pass"] for record in json.loads(out))
 
 
 def test_a_bare_import_loads_no_mpmath():
@@ -277,5 +295,6 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
         monkeypatch.setattr(module, "q_sums", computed)
     for name in ("pi_power", "zeta_fixed"):
         monkeypatch.setattr(relations, name, computed)
+        monkeypatch.setattr(identities, name, computed)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)
