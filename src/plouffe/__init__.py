@@ -16,11 +16,11 @@ _LAZY = {
     "identities": ("ResidualReport", "ramanujan_residual", "symmetric_point_residual",
                    "triple_residual", "ts_identity_residual", "verify_all",
                    "vepstas_residual", "zeta_4m1_residual"),
-    "precision": ("PrecisionReal", "pi_const"),
+    "precision": ("PrecisionReal",),
     "relations": ("RelationNotFoundError", "RelationResult", "min_digits_for", "pslq",
                   "rediscover_triple"),
-    "series": ("SeriesSpec", "apery_zeta3", "eval_pi_power", "eval_zeta_odd",
-               "s1_closed_form", "s_series", "zeta_reference"),
+    "series": ("SeriesSpec", "apery_zeta3", "eval_pi_power", "eval_zeta_odd", "s_series",
+               "zeta_reference"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

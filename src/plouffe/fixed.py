@@ -1,16 +1,18 @@
-"""Integer fixed point with no mpmath, on which the CLI runs: pi, e^(-x), the
-weighted q-series kernel behind every S/T value, and exact rendering (the
-correctly rounded `decimal_string`, and `nstr`, mpmath's short form).
-A value is m 2^-prec for an integer m, its error stated in units of 2^-prec.
-pi is Chudnovsky's series by binary splitting, and e^(-x) Taylor with
-argument halving and squaring (Brent & Zimmermann, Modern Computer
-Arithmetic, 4.4), as mpmath runs them on its pure-Python backend."""
+"""Integer fixed point on the standard library alone, on which the CLI and
+the Python API run: pi, e^(-x), the weighted q-series kernel behind every
+S/T value, and exact rendering (`decimal_string` and `nstr`, each rounding
+an exact ratio once).  A value is m 2^-prec for an integer m, its error
+stated in units of 2^-prec.  pi is Chudnovsky's series by binary splitting,
+and e^(-x) Taylor with argument halving and squaring (Brent & Zimmermann,
+Modern Computer Arithmetic, 4.4)."""
 
 import math
-from decimal import Decimal, ROUND_FLOOR, ROUND_HALF_EVEN, localcontext
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal,
+                     localcontext)
 from fractions import Fraction
 
 GUARD = 20  # decimal places computed beyond the requested digits
+MAX_TERMS = 10 ** 6  # the most terms one q-series may take; `truncation_index` refuses more
 
 _pi = (0, 3)  # (prec, floor(pi 2^prec)) at the highest precision computed so far
 
@@ -90,25 +92,37 @@ def places(target, size=1):
 
 def truncation_index(n, rate, target_digits, weight=1):
     """Smallest term count N whose proven q-series tail bound is below
-    10**-target_digits, for weights w_s with sum |w_s| = weight.
+    10**-target_digits, for weights w_s with sum |w_s| = weight, at a rate
+    anything `ratio` takes, checked exactly.
 
     The coefficient of q^M is sum_{s|M} w_s sigma_{-n}(M/s), and for every
     n >= 1, sigma_{-n}(m) <= sum_{d<=m} 1/d <= 1 + ln m.  With ln M <= ln(N+1)
     + (M-N-1)/(N+1) for M > N and sum_i i q^i = q/(1-q)^2, the tail is at most
 
         weight q^(N+1)/(1-q) (1 + ln(N+1) + q/((1-q)(N+1))).
+
+    That bound grows with q, so a rate past 2^64 is taken as 2^64.  N + 2 is
+    at least D ln 10 / (pi r) for D = target_digits and any weight >= 1, so a
+    rate at which that passes MAX_TERMS is refused with a ValueError before
+    any float is taken of it, as is any N past MAX_TERMS.
     """
-    rate = float(rate)
+    rate = Fraction(*ratio(rate))
     if rate <= 0:
         raise ValueError("rate must be positive")
-    log10_q = -math.pi * rate / math.log(10)  # not log10(exp(...)), which underflows at large rates
-    one_minus_q = -math.expm1(-math.pi * rate)
-    budget = -target_digits - math.log10(weight) + math.log10(one_minus_q)
-    terms = max(1, math.floor(budget / log10_q) - 1)  # the log factor is >= 1
-    while (terms + 1) * log10_q + math.log10(
-            1 + math.log(terms + 1) + (1 - one_minus_q) / (one_minus_q * (terms + 1))) >= budget:
-        terms += 1
-    return terms
+    terms = Fraction(target_digits * math.log(10) / math.pi) / rate  # at most N + 2
+    if terms <= MAX_TERMS:
+        rate = float(min(rate, 2 ** 64))
+        log10_q = -math.pi * rate / math.log(10)  # not log10(exp(...)), which underflows at large rates
+        one_minus_q = -math.expm1(-math.pi * rate)
+        budget = -target_digits - math.log10(weight) + math.log10(one_minus_q)
+        terms = max(1, math.floor(budget / log10_q) - 1)  # the log factor is >= 1
+        while (terms + 1) * log10_q + math.log10(
+                1 + math.log(terms + 1) + (1 - one_minus_q) / (one_minus_q * (terms + 1))) >= budget:
+            terms += 1
+        if terms <= MAX_TERMS:
+            return terms
+    raise ValueError(f"a q-series at rate {nstr(rate, 5)} needs about {nstr(terms, 3)} terms for "
+                     f"{target_digits} digits, past the limit of MAX_TERMS = {MAX_TERMS}")
 
 
 def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
@@ -162,9 +176,9 @@ def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
         plans.append((truncation_index(n, r, target_digits + 1, weight) + extra_terms, weight, scale,
                       [(s, int(w * scale) * s ** n) for s, w in weights]))
     terms = max(plan[0] for plan in plans)
-    k = math.isqrt(terms)
+    k, rate = math.isqrt(terms), float(min(r, 2 ** 64))  # a smaller rate only makes prec and cuts safer
     prec = max(math.ceil((target_digits + 1) * math.log2(10) + math.log2(
-        17 * last * k * weight * math.ceil((1 + math.log(last)) / -math.expm1(-math.pi * float(r)))))
+        17 * last * k * weight * math.ceil((1 + math.log(last)) / -math.expm1(-math.pi * rate))))
         for last, weight, _, _ in plans)
     q = q_fixed(r, prec)
     sigma = [0] * (terms + 1)  # sigma[m]: sum of the (signed) d^n over divisors d of m
@@ -179,7 +193,7 @@ def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
     powers = [1 << prec, q]  # powers[j] = Q_j
     for _ in range(k - 1):
         powers.append(powers[-1] * q >> prec)
-    block_bits = k * math.pi * float(r) / math.log(2)  # log2(1/q^k)
+    block_bits = k * math.pi * rate / math.log(2)  # log2(1/q^k)
     totals, cut_prev = [0] * len(sums), prec
     for i in range(terms // k, -1, -1):
         cut = min(prec, max(0, math.floor(i * block_bits) - 1))  # -1: float error in i * block_bits
@@ -195,130 +209,71 @@ def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
 
 
 def ratio(x):
-    """x as an exact (numerator, denominator) pair: a PrecisionReal by its
-    value, an mpf from its raw (sign, mantissa, exponent), anything else
-    through `Fraction`."""
-    x = getattr(x, "mpf", x)
+    """x as an exact (numerator, denominator) pair: an mpf from its raw (sign,
+    mantissa, exponent), with no mpmath import, an int, float, Fraction,
+    Decimal or PrecisionReal by `as_integer_ratio`, else through `Fraction`."""
     if not hasattr(x, "_mpf_"):
-        return Fraction(x).as_integer_ratio()
+        return (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
     sign, man, exp, _ = x._mpf_
     if not man and exp:  # mpmath's inf, -inf and nan
         raise ValueError(f"cannot render non-finite value {x!r}")
     return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
 
 
-def decimal_string(x, sig_digits, exponent=0):
-    """Render x 2**exponent, for an mpf or anything `Fraction` takes, with
-    exactly ``sig_digits`` significant digits.
+def _round(x, exponent, count, rounding):
+    """x 2**exponent, for anything `ratio` takes, rounded once to a `Decimal`
+    of `count` significant digits, or Decimal 0.  |x| 10**k is split exactly
+    into an integer q of more than `count` digits and a remainder, so every
+    rounding boundary is an integer in q's units, and one `Decimal` rounding
+    of 10 q, plus 1 for a nonzero remainder, rounds as the exact value does.
+    A carry (9.99... -> 10.0...) moves the exponent.  No int passes through
+    str(), so Python's int/str digit limit never applies."""
+    num, den = ratio(x)
+    if not num:
+        return Decimal(0)
+    sign, num, den = -1 if num < 0 else 1, abs(num) << max(exponent, 0), den << max(-exponent, 0)
+    k = count + 2 - math.floor((num.bit_length() - den.bit_length() - 1) * math.log10(2))
+    q, rest = divmod(num * 10 ** max(k, 0), den * 10 ** max(-k, 0))
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax = count, rounding, MIN_EMIN, MAX_EMAX
+        return (sign * Decimal(10 * q + (rest > 0))).scaleb(-k - 1)
 
-    The value is one exact ratio of integers, and one half-even decimal
-    division at ``sig_digits`` rounds it, so the digit string is a
-    deterministic function of the value.  Trailing zeros are kept: the
-    digit count is part of the contract.  No int passes through str(), so
-    Python's int/str digit limit never applies.
-    """
+
+def decimal_string(x, sig_digits, exponent=0):
+    """Render x 2**exponent, for anything `ratio` takes, with exactly
+    ``sig_digits`` significant digits, rounded half to even once, so the
+    digit string is a deterministic function of the value.  Trailing zeros
+    are kept: the digit count is part of the contract."""
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
-    num, den = ratio(x)
-    num, den = num << max(exponent, 0), den << max(-exponent, 0)
-    if num == 0:
-        return "0"
-    with localcontext() as ctx:
-        ctx.prec = sig_digits
-        ctx.rounding = ROUND_HALF_EVEN
-        # the one rounding; a carry (9.99... -> 10.0...) moves the exponent
-        rounded = Decimal(num) / Decimal(den)
-        target = rounded.adjusted() - sig_digits + 1
-        r = rounded.quantize(Decimal(1).scaleb(target))  # pads trailing zeros, exactly
-    if target > 0:
-        # fewer requested digits than integer places: keep the count visible
-        return format(r, "e")
-    return format(r, "f")
+    value = _round(x, exponent, sig_digits, ROUND_HALF_EVEN)
+    # fewer requested digits than integer places: the exponent keeps the count visible
+    return format(value, "e" if value.adjusted() >= sig_digits else "f") if value else "0"
+
+
+def nstr(x, dps, exponent=0):
+    """x 2**exponent, for anything `ratio` takes, rounded half up once to dps
+    significant digits, in mpmath's `nstr` notation: trailing zeros stripped,
+    fixed notation when the decimal exponent lies strictly between
+    min(-(dps // 3), -5) and dps, else a mantissa and a signed exponent."""
+    value = _round(x, exponent, dps, ROUND_HALF_UP)
+    if not value:
+        return "0.0"
+    digits, power, split = "".join(map(str, value.as_tuple().digits)), value.adjusted(), 1
+    if min(-(dps // 3), -5) < power < dps:  # fixed notation
+        digits, split = ("0" * -power + digits, 1) if power < 0 else (digits, power + 1)
+        power = 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return "-" * value.is_signed() + text + "0" * text.endswith(".") + (f"e{power:+d}" if power else "")
 
 
 def agreement_digits(a, b):
     """Decimal digits of absolute agreement of two exact values (each
     anything `ratio` takes): floor(-log10 |a - b|), or the sentinel 10**6
     when they are equal."""
-    num, den = abs(Fraction(*ratio(a)) - Fraction(*ratio(b))).as_integer_ratio()
-    if not num:
+    diff = abs(Fraction(*ratio(a)) - Fraction(*ratio(b)))
+    if not diff:
         return 10 ** 6
-    with localcontext() as ctx:
-        ctx.prec, ctx.rounding = 20, ROUND_FLOOR
-        lead = (Decimal(num) / Decimal(den)).adjusted()  # floor(log10 |a - b|), exactly
+    lead = _round(diff, 0, 20, ROUND_FLOOR).adjusted()  # floor(log10 |a - b|), exactly
+    num, den = diff.as_integer_ratio()
     return -lead - (num * 10 ** max(-lead, 0) != den * 10 ** max(lead, 0))
-
-
-# floor(ln 2 2^128) and floor(ln 10 2^126), from which mpmath's ln 2 and ln 10
-# at up to 128 bits are right shifts
-_LN2, _LN10 = 0xb17217f7d1cf79abc9e3b39803f2f6af, 0x935d8dddaaa8ac16ea56d62b82d30a28
-
-
-def _cut(man, exp, bits, up=False):
-    """man 2**exp, man > 0, rounded down (or up) to `bits` significant bits."""
-    extra = max(0, man.bit_length() - bits)
-    return (-(-man >> extra) if up else man >> extra), exp + extra
-
-
-def _pow10(n, bits, up):
-    """10**n, n >= 0, as mpmath's mpf_pow_int rounds it down (or up) to
-    `bits`: exact below n = 334, else binary powering, each step cut to
-    bits + 4 bitlen(n) + 4 bits."""
-    if 3 * n < 1000:
-        return _cut(5 ** n, n, bits, up)
-    work, (pm, pe), (man, exp) = bits + 4 * n.bit_length() + 4, (1, 0), (5, 1)
-    while True:
-        if n & 1:
-            pm, pe = _cut(pm * man, pe + exp, work, up)
-            n -= 1
-            if not n:
-                return _cut(pm, pe, bits, up)
-        man, exp = _cut(man * man, 2 * exp, work, up)
-        n //= 2
-
-
-def _div(am, ae, bm, be, bits):
-    """(am 2**ae) / (bm 2**be) rounded down to `bits` significant bits."""
-    shift = max(0, bits + bm.bit_length() - am.bit_length() + 1)
-    return _cut((am << shift) // bm, ae - be - shift, bits)
-
-
-def nstr(x, dps, exponent=0):
-    """mpmath's nstr(x, dps), without mpmath, for the exact dyadic
-    x 2**exponent (an mpf, float, int or Fraction over a power of two).
-
-    As mpmath's `to_str`: truncate x to dps + 3 digits through a fixed-point
-    value of B = int((dps + 3) log2 10) + 10 bits, x first divided by a power
-    of ten (both at B bits, rounded as mpmath rounds them) when its leading
-    bit lies past 2**3500 either way; round half up at dps digits on those
-    digits; strip trailing zeros; use fixed notation when the decimal
-    exponent lies strictly between min(-(dps // 3), -5) and dps.
-    """
-    num, den = ratio(x)
-    if den & (den - 1):
-        raise ValueError(f"nstr needs a dyadic value, got denominator {den}")
-    if not num:
-        return "0.0"
-    sign, man = "-" if num < 0 else "", abs(num)
-    zeros = (man & -man).bit_length() - 1  # mpmath's mantissa is odd
-    man, exp = man >> zeros, exponent - den.bit_length() + 1 + zeros
-    bits, power = int((dps + 3) * math.log(10, 2)) + 10, 0
-    if abs(exp + man.bit_length()) > 3500:
-        cut = 123 - abs(exp).bit_length()  # ln 2 and ln 10 at bitlen(|exp|) + 5 bits
-        power = abs(exp) * (_LN2 >> cut) // (_LN10 >> cut << 2) * (1 if exp > 0 else -1)
-        ten = _pow10(power, bits, False) if power >= 0 else \
-            _div(1, 0, *_pow10(-power, bits + 5, True), bits)
-        man, exp = _div(man, exp, *ten, bits)
-    fixprec = max(bits - exp - man.bit_length(), 0)
-    fixdps, shift = int(fixprec / math.log(10, 2) + 0.5), exp + fixprec
-    digits = str(Decimal((man << shift if shift >= 0 else man >> -shift) * 10 ** fixdps >> fixprec))
-    power += len(digits) - fixdps - 1
-    if digits[dps] in "56789":
-        digits = str(int(digits[:dps]) + 1)
-        power += len(digits) > dps  # 99..9 carried to 100..0
-    digits, split = digits[:dps], 1
-    if min(-(dps // 3), -5) < power < dps:  # fixed notation
-        digits, split = ("0" * -power + digits, 1) if power < 0 else (digits, power + 1)
-        power = 0
-    text = (digits[:split] + "." + digits[split:]).rstrip("0")
-    return sign + text + ("0" if text.endswith(".") else "") + (f"e{power:+d}" if power else "")

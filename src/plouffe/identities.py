@@ -17,8 +17,8 @@ from the three-series assembly, and every power of pi from Machin's formula
 evidence and not circularity.  A report passes when the exact absolute
 residual is below 10**-digits, the contract every value is computed to; the
 residual itself is accurate to 10**-(digits + GUARD).  Values are integers
-m 2**-prec and residuals exact rationals, with no mpmath: only `_public`,
-behind the public entry points, makes PrecisionReals.
+m 2**-prec and residuals exact dyadic rationals, which `_public`, behind
+the public entry points, puts in PrecisionReals.
 """
 
 import math
@@ -126,10 +126,9 @@ def _run(checks, digits):
 
 def _public(reports):
     """The reports with each exact residual as a PrecisionReal."""
-    from .precision import PrecisionReal, from_fixed
+    from .precision import PrecisionReal  # not needed by the CLI, which calls `_run`
 
-    return [r._replace(residual=PrecisionReal(from_fixed(
-        r.residual.numerator, r.residual.denominator.bit_length() - 1), r.digits)) for r in reports]
+    return [r._replace(residual=PrecisionReal(r.residual, r.digits)) for r in reports]
 
 
 def _bernoulli_pair_term(n, k):
@@ -156,7 +155,7 @@ def _ramanujan(alpha, n):
         if coeff:  # 4^n (-1)^k [pair] alpha^(n+1-k) beta^k
             form.append((4 ** n * (-1) ** k * coeff * rho ** (n + 1 - 2 * k),
                          ("pi", j * (n + 1 - k) + (2 - j) * k)))
-    return "ramanujan", {"alpha": nstr(float(rho) * math.pi ** j, 10), "n": n}, form
+    return "ramanujan", {"alpha": nstr(rho * Fraction(math.pi) ** j, 10), "n": n}, form
 
 
 def ramanujan_residual(alpha, n, digits):

@@ -14,7 +14,7 @@ decisions need and is rebuilt exactly from the integer state as that grows
 Euclidean norm of any relation, which is what a found = False result
 reports as the exclusion bound.  A candidate is a relation only at the
 precision its size needs (`min_digits_for`); each result says why it
-stopped.  mpmath is imported only to return a residual as a PrecisionReal.
+stopped, and its residual is an exact dyadic PrecisionReal.
 """
 
 import math
@@ -128,10 +128,11 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
 
 
 def _public(result, digits):
-    """The result with its exact residual (m, prec) as a PrecisionReal."""
-    from .precision import PrecisionReal, from_fixed
+    """The result with its exact residual (m, prec), m 2**-prec, as a PrecisionReal."""
+    from .precision import PrecisionReal  # not needed by the CLI, which calls `_rediscover`
 
-    return result._replace(residual=PrecisionReal(from_fixed(*result.residual), digits))
+    m, prec = result.residual
+    return result._replace(residual=PrecisionReal(m * Fraction(2) ** -prec, digits))
 
 
 def _pslq(X, e, digits, max_coeff_bound):

@@ -1,6 +1,7 @@
 """High-precision evaluation of the Lambert-type series S_n(r) and T_n(r),
 assembly of pi^(2n+1) and zeta(2n+1) from exact coefficient triples, and
-independent zeta oracles for cross-checking.
+independent zeta oracles for cross-checking, each value an exact dyadic
+Fraction in a PrecisionReal.
 
 With q = e^(-pi r), S_n(s r) = sum_k 1/(k^n (e^(pi s r k) - 1)) is the power
 series sum_{s|M} sigma_{-n}(M/s) q^M, sigma_{-n}(m) = sum_{d|m} d^(-n).  So a
@@ -22,24 +23,22 @@ evidence rather than a tautology.
 from collections import namedtuple
 from fractions import Fraction
 
-import mpmath as mp
-
 from .bernoulli import Target, triple_for
 from .fixed import q_sums, ratio, truncation_index  # noqa: F401  (public here too)
 from .oracles import apery_fixed, zeta_fixed
-from .precision import GUARD, PrecisionReal, from_fixed
+from .precision import GUARD, PrecisionReal
 
 
 class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
     """Evaluation request: exponent n >= 1, rate r > 0 (int, Fraction, float
-    or mpf), decimal digits D."""
+    or mpf, its sign checked exactly), decimal digits D."""
 
     __slots__ = ()
 
     def __new__(cls, n, r, digits):
         if not isinstance(n, int) or n < 1:
             raise ValueError("series exponent n must be an integer >= 1")
-        if float(r) <= 0:
+        if Fraction(*ratio(r)) <= 0:
             raise ValueError("series rate r must be positive")
         if digits < 1:
             raise ValueError("digits must be >= 1")
@@ -51,11 +50,11 @@ class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
 
 
 def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)):
-    """sum_s w_s S_n(s r) (T_n with plus_one) as an exact mpf with absolute
-    error below 10**-target_digits: `fixed.q_sums` of one output at the exact
-    rational of r, an int, Fraction, float or mpf."""
+    """sum_s w_s S_n(s r) (T_n with plus_one) as an exact dyadic Fraction with
+    absolute error below 10**-target_digits: `fixed.q_sums` of one output at
+    the exact rational of r, an int, Fraction, float or mpf."""
     (m,), prec = q_sums(n, Fraction(*ratio(r)), target_digits, [weights], plus_one, extra_terms)
-    return from_fixed(m, prec)
+    return Fraction(m, 1 << prec)
 
 
 def s_series(spec):
@@ -83,21 +82,18 @@ def eval_zeta_odd(exponent, digits):
     return _assemble(triple_for(Target.ZETA_VALUE, exponent), digits)
 
 
-def _apery_raw(target_digits):
-    """zeta(3) within 10**-target_digits, as the exact mpf of `oracles.apery_fixed`."""
-    return from_fixed(*apery_fixed(target_digits))
-
-
 def apery_zeta3(digits):
     """zeta(3) through the accelerated series, to the precision contract."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return PrecisionReal(_apery_raw(digits + GUARD), digits)
+    m, prec = apery_fixed(digits + GUARD)
+    return PrecisionReal(Fraction(m, 1 << prec), digits)
 
 
 def _zeta_ref_raw(s, target_digits):
-    """zeta(s) within 10**-target_digits, as the exact mpf of `oracles.zeta_fixed`."""
-    return from_fixed(*zeta_fixed(s, target_digits))
+    """zeta(s) within 10**-target_digits, as the exact Fraction of `oracles.zeta_fixed`."""
+    m, prec = zeta_fixed(s, target_digits)
+    return Fraction(m, 1 << prec)
 
 
 def zeta_reference(s, digits):
@@ -107,29 +103,3 @@ def zeta_reference(s, digits):
     if digits < 1:
         raise ValueError("digits must be >= 1")
     return PrecisionReal(_zeta_ref_raw(s, digits + GUARD), digits)
-
-
-_S1_RATES = (1, 2, 4)
-
-
-def _s1_closed_raw(r):
-    """Closed form of S_1(r) for r in {1, 2, 4} at ambient precision."""
-    pi = +mp.pi
-    if r == 2:
-        return mp.log(4 / pi) / 4 - pi / 12 + mp.loggamma(mp.mpf(3) / 4)
-    s14 = (mp.mpf(11) / 8) * mp.log(2) + (mp.mpf(3) / 4) * mp.log(pi) \
-        - mp.loggamma(mp.mpf(1) / 4) - pi / 6
-    if r == 4:
-        return s14
-    return s14 + mp.log(mp.mpf(1) / 4) / 4 + pi / 8
-
-
-def s1_closed_form(r, digits):
-    """Log/log-gamma closed form of S_1(r), valid only for r in {1, 2, 4}."""
-    if r not in _S1_RATES:
-        raise ValueError(f"no closed form implemented for rate {r!r}; use r in {{1, 2, 4}}")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + GUARD + 5):
-        value = _s1_closed_raw(int(r))
-    return PrecisionReal(value, digits)

@@ -13,10 +13,11 @@ from pathlib import Path
 import jsonschema
 import mpmath as mp
 import pytest
+from mp_oracles import pi_const
 
 from plouffe.bernoulli import Target, triple_for
 from plouffe.cli import _load_cache, build_parser, main
-from plouffe.precision import decimal_string, pi_const
+from plouffe.precision import decimal_string
 
 bernoulli_module = importlib.import_module("plouffe.bernoulli")  # the package rebinds the name
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema"
@@ -110,6 +111,13 @@ def test_eval_digits_pinned_to_mpmath(capsys, target, exponent, digits):
     with mp.workdps(digits + 40):
         value = mp.pi ** exponent if target == "pi" else mp.zeta(exponent)
         assert out == decimal_string(value, digits) + "\n"
+
+
+def test_eval_past_the_term_limit_is_usage_error(capsys):
+    # 2 million digits need about 1.47 million terms: refused before any sum is formed
+    code, out, err = run_cli(capsys, "eval", "pi", "1", "--digits", "2000000")
+    assert (code, out) == (2, "")
+    assert "needs about 1.47e+6 terms" in err and "MAX_TERMS = 1000000" in err
 
 
 def test_eval_even_exponent_is_usage_error(capsys):

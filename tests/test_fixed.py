@@ -1,7 +1,7 @@
 """The integer fixed-point layer: pi, e^(-x) and q = e^(-pi r) against
 mpmath's floors, the shared kernel pass against mpmath and against each
-sum alone, values independent of the call order, `nstr` against mpmath's,
-and an `eval` that runs with mpmath unavailable.
+sum alone, values independent of the call order, `nstr` against an exact
+reference and mpmath's, and an `eval` that runs with mpmath unavailable.
 """
 
 import math
@@ -207,38 +207,100 @@ DYADICS = st.one_of(
     st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.just(0)))
 
 
+def log10_floor(value):
+    """floor(log10 value) of a Fraction value > 0, exactly."""
+    e = math.floor((value.numerator.bit_length() - value.denominator.bit_length()) * math.log10(2))
+    return e + (value >= Fraction(10) ** (e + 1)) - (value < Fraction(10) ** e)  # off by <= 1
+
+
+def nstr_reference(value, dps):
+    """The text `nstr` gives for a Fraction, from Fractions alone: rounded half
+    up at dps significant digits, trailing zeros stripped, fixed notation for
+    decimal exponents strictly inside (min(-(dps // 3), -5), dps)."""
+    if not value:
+        return "0.0"
+    sign, value = "-" * (value < 0), abs(value)
+    e = log10_floor(value)
+    n = math.floor(value / Fraction(10) ** (e - dps + 1) + Fraction(1, 2))
+    if n == 10 ** dps:  # 9.99... carried into a new leading digit
+        n, e = n // 10, e + 1
+    digits = str(n)
+    if min(-(dps // 3), -5) < e < dps:
+        text = "0." + "0" * (-e - 1) + digits if e < 0 else digits[:e + 1] + "." + digits[e + 1:]
+        e = 0
+    else:
+        text = digits[0] + "." + digits[1:]
+    text = text.rstrip("0")
+    return sign + text + "0" * text.endswith(".") + (f"e{e:+d}" if e else "")
+
+
+def near_a_tie(value, dps):
+    """Whether |value| lies within 1/100 of a unit in the dps-th digit of a
+    half-way point, where mpmath's truncated digits may round the other way."""
+    units = abs(value) / Fraction(10) ** (log10_floor(abs(value)) - dps + 1)
+    return abs(units - math.floor(units) - Fraction(1, 2)) < Fraction(1, 100)
+
+
+VALUES = st.one_of(
+    DYADICS.map(lambda dyadic: Fraction(dyadic[0]) * Fraction(2) ** dyadic[1]),
+    st.fractions(),
+    # exact decimal ties and carries, dyadic or not, across both notation boundaries
+    st.builds(lambda d, k: d * Fraction(10) ** k,
+              st.sampled_from([999995, 123445, 100005, 99999, 5, 99999999995, 12345678905]),
+              st.integers(-20, 20)))
+
+
 @settings(max_examples=400, deadline=None)
-@given(dyadic=DYADICS)
-@example(dyadic=(9.99995e-300, 0))
-@example(dyadic=(999995 * 10 ** 1195, 0))
-@example(dyadic=(0, 0))
-# where mpmath's power of ten, from ln 2 and ln 10 at few bits, or its rounding
-# of 10**-1388 decide the digits
-@example(dyadic=(123445 * 10 ** 1259, 0))
-@example(dyadic=(1001362694914403195, -3787))
-@example(dyadic=(78833629391487, -4657))
-def test_nstr_is_mpmaths_nstr(dyadic):
-    # floats, ints and Fractions over powers of two are the exact dyadics mpmath holds
-    m, e = dyadic
-    exact = Fraction(m) * Fraction(2) ** e
-    num, den = exact.as_integer_ratio()
-    x = mp.make_mpf(mp.libmp.from_man_exp(num, 1 - den.bit_length()))  # exact, not rounded
+@given(value=VALUES)
+@example(value=Fraction(9.99995e-300))
+@example(value=Fraction(999995 * 10 ** 1195))
+@example(value=Fraction(0))
+@example(value=Fraction(123445 * 10 ** 1259))  # past 2^3500, on a tie at 5 digits
+@example(value=Fraction(1001362694914403195, 2 ** 3787))  # past 2^-3500
+@example(value=Fraction(78833629391487, 2 ** 4657))
+@example(value=Fraction(999995, 10 ** 5))  # 9.99995 carries to 10.0 at 5 digits
+@example(value=Fraction(999995, 10))  # and 99999.5 to 1.0e+5, out of fixed notation
+@example(value=Fraction(999995, 10 ** 10))  # and 0.0000999995 to 0.0001, into it
+def test_nstr_is_correctly_rounded_in_mpmaths_notation(value):
+    # against an exact reference, and for a dyadic value, which mpmath holds
+    # exactly, against mpmath's nstr wherever its truncated digits cannot
+    # double-round
+    num, den = value.as_integer_ratio()
     for dps in (5, 10):
-        expected = mp.nstr(x, dps)
-        assert fixed.nstr(exact, dps) == expected
-        assert fixed.nstr(x, dps) == expected
-        assert fixed.nstr(m, dps, e) == expected
+        expected = nstr_reference(value, dps)
+        assert fixed.nstr(value, dps) == expected
+        assert fixed.nstr(-value, dps) == nstr_reference(-value, dps)
+        if not den & (den - 1):
+            x = mp.make_mpf(mp.libmp.from_man_exp(num, 1 - den.bit_length()))  # exact, not rounded
+            assert fixed.nstr(x, dps) == expected
+            assert fixed.nstr(num, dps, 1 - den.bit_length()) == expected
+            if not value or not near_a_tie(value, dps):
+                assert mp.nstr(x, dps) == expected
 
 
-def test_nstr_rejects_a_value_mpmath_cannot_hold():
-    with pytest.raises(ValueError, match="dyadic"):
-        fixed.nstr(Fraction(1, 3), 5)
+@pytest.mark.parametrize("value, dps, text", [
+    (Fraction(1, 8), 2, "0.13"),  # a tie rounds half up
+    (Fraction(-1, 8), 2, "-0.13"),
+    (Fraction(1, 3), 5, "0.33333"),  # a value that is not dyadic
+    (Fraction(123445, 10 ** 5), 5, "1.2345"),
+    (Fraction(999995, 10 ** 5), 5, "10.0"),
+    (Fraction(999995, 10), 5, "1.0e+5"),
+    (Fraction(999995, 10 ** 10), 5, "0.0001"),
+    (Fraction(123456, 10 ** 10), 5, "1.2346e-5"),  # exponent -5: the lower boundary
+    (Fraction(123456, 10 ** 9), 5, "0.00012346"),
+    (Fraction(12345678, 100), 10, "123456.78"),
+    (Fraction(2) ** 4000, 5, "1.3182e+1204"),  # past 2^3500
+    (Fraction(2) ** -4000, 5, "7.5861e-1205"),
+])
+def test_nstr_examples(value, dps, text):
+    assert fixed.nstr(value, dps) == text
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=st.fractions(), b=st.fractions(), scale=st.integers(-3000, 3000))
 @example(a=Fraction(1, 10), b=Fraction(0), scale=-3)  # |a - b| = 10**-4 exactly
 @example(a=Fraction(3), b=Fraction(2), scale=0)
+@example(a=Fraction(10 ** 50 - 1, 10 ** 47), b=Fraction(0), scale=0)  # 999.99..., 50 nines
 def test_agreement_digits_is_the_floor_of_minus_log10(a, b, scale):
     a, b = a * Fraction(10) ** scale, b * Fraction(10) ** scale
     k = fixed.agreement_digits(a, b)

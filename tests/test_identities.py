@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mp_oracles import pi_const
 
 import plouffe.identities as identities
 from plouffe import fixed
@@ -21,7 +22,7 @@ from plouffe.identities import (
     vepstas_residual,
     zeta_4m1_residual,
 )
-from plouffe.precision import GUARD, pi_const
+from plouffe.precision import GUARD
 
 
 def test_ramanujan_at_symmetric_point():
@@ -68,6 +69,23 @@ def test_ramanujan_rejects_nonpositive_alpha():
         ramanujan_residual(-2.0, 1, 50)
     with pytest.raises(ValueError):
         ramanujan_residual(0, 1, 50)
+
+
+def test_rates_past_the_float_range_are_served_or_refused(monkeypatch):
+    # e^(-pi 10^400) is 0 at any precision, so T_3 = S_3 - 2 S_3(2 x) holds exactly
+    report = ts_identity_residual(3, 10 ** 400, 10)
+    assert report.passed and report.residual.value == 0
+    # beta = pi^2 / 10^400 would need about 10^402 terms: refused, and a 10^-6
+    # rate, which needs 2.35e7, before any kernel work
+    with pytest.raises(ValueError, match=r"needs about 9\.68e\+401 terms .* MAX_TERMS = 1000000$"):
+        ramanujan_residual(10 ** 400, 1, 10)
+
+    def computed(*_):
+        raise AssertionError("kernel work before the term limit refused the rate")
+
+    monkeypatch.setattr(fixed, "q_fixed", computed)
+    with pytest.raises(ValueError, match=r"needs about 2\.35e\+7 terms .* MAX_TERMS = 1000000$"):
+        ts_identity_residual(3, Fraction(1, 10 ** 6), 10)
 
 
 def test_symmetric_point_small_odd_cases():

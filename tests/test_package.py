@@ -4,14 +4,19 @@ Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
 are exact Fraction arithmetic, `eval` (with or without `--check`) and
 `verify` integer fixed point, and `discover` integers and `decimal`, so
 every command starts without mpmath, dataclasses or inspect, and prints
-its golden output with mpmath blocked.  The package resolves the names of
-its mpmath-backed layers on first access, with the same objects as their
+its golden output with mpmath blocked; the Python API runs without mpmath
+too, which only `PrecisionReal.mpf` imports.  The package resolves the
+names of its other layers on first access, with the same objects as their
 home modules.  The record types keep the value semantics of frozen
-dataclasses, and they pickle, so a process pool can return them.  Public
-entry points reject digits < 1 before they compute anything.
+dataclasses, and they pickle, so a process pool can return them; a thread
+pool returns the same values as serial calls.  Public entry points reject
+digits < 1 before they compute anything.  Every function the benchmark's
+tracer wraps or reads still exists.
 """
 
 import copy
+import importlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -19,7 +24,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -34,7 +39,7 @@ from plouffe.identities import (ResidualReport, ramanujan_residual, symmetric_po
                                 verify_all, zeta_4m1_residual)
 from plouffe.precision import PrecisionReal
 from plouffe.relations import RelationResult, pslq, rediscover_triple
-from plouffe.series import SeriesSpec, eval_pi_power, eval_zeta_odd
+from plouffe.series import SeriesSpec, eval_pi_power, eval_zeta_odd, zeta_reference
 
 # Runs the commands (each one argv string) in one fresh interpreter and
 # prints, as its last stderr line, the modules loaded past the ones the
@@ -126,6 +131,73 @@ def test_verify_prints_the_golden_output_without_mpmath():
 
 def test_a_bare_import_loads_no_mpmath():
     assert "mpmath" not in loaded_by()
+
+
+# The Python API with mpmath blocked: every value is exact without it.
+API_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+import plouffe
+plouffe.eval_pi_power(1, 30); plouffe.eval_zeta_odd(3, 30); plouffe.zeta_reference(3, 30)
+plouffe.verify_all(1, 30); plouffe.rediscover_triple("pi", 1, 30)
+value = plouffe.eval_pi_power(1, 30)
+print(value.to_decimal_string(), repr(value), float(value), value == plouffe.eval_pi_power(1, 30))
+try:
+    value.mpf
+except ImportError:
+    print("mpf needs mpmath")
+"""
+
+
+def test_the_python_api_runs_without_mpmath():
+    proc = subprocess.run([sys.executable, "-c", API_WITHOUT_MPMATH], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("3.14159265358979323846264338328 "
+                           "PrecisionReal(3.14159265358979323846264338328, digits=30) "
+                           "3.141592653589793 True\nmpf needs mpmath\n")
+
+
+def test_values_are_exact_dyadic_fractions_and_mpf_is_exact():
+    value = eval_pi_power(1, 300)
+    assert isinstance(value.value, Fraction) and value.digits == 300
+    assert value.value.denominator & (value.value.denominator - 1) == 0
+    num, den = value.value.as_integer_ratio()
+    with mp.workprec(15):  # the mpf keeps every bit, whatever mpmath's precision
+        x = value.mpf
+    with mp.workprec(num.bit_length() + den.bit_length()):
+        assert x * den == num
+    assert PrecisionReal(Fraction(3, 4), 5) == PrecisionReal(mp.mpf(0.75), 5) == (Fraction(3, 4), 5)
+    with pytest.raises(ValueError, match="dyadic"):
+        PrecisionReal(Fraction(1, 3), 5)
+
+
+def test_a_thread_pool_returns_the_serial_values():
+    calls = [(eval_pi_power, 1, 30), (zeta_reference, 3, 300), (verify_all, 1, 60),
+             (eval_pi_power, 5, 1000), (zeta_reference, 9, 40), (verify_all, 1, 20),
+             (eval_pi_power, 3, 200), (zeta_reference, 5, 1200)] * 2
+    serial = [function(a, digits) for function, a, digits in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so that the threads interleave inside each call
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda call: call[0](*call[1:]), calls, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_callable():
+    # perfbench/tracer.py skips a missing name in silence, so check them here
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [pair for pairs in tracer.SPANS.values() for pair in pairs]
+    names += [("plouffe.series", "truncation_index"), ("plouffe.bernoulli", "memo_snapshot")]
+    assert len(names) > 12
+    for module, name in names:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
 
 
 # In a fresh interpreter, where no name has been resolved yet.

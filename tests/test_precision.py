@@ -14,8 +14,9 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mp_oracles import pi_const
 
-from plouffe.precision import PrecisionReal, decimal_string, format_rational, pi_const
+from plouffe.precision import PrecisionReal, decimal_string, format_rational
 from plouffe.series import eval_pi_power
 
 PI_20 = "3.1415926535897932385"

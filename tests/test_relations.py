@@ -10,11 +10,12 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_oracles import mpf, pi_const, to_mpf
 
 from plouffe import relations
 from plouffe.bernoulli import Target, triple_for
 from plouffe.fixed import ratio
-from plouffe.precision import GUARD, from_fixed, pi_const, to_mpf
+from plouffe.precision import GUARD
 from plouffe.relations import RelationNotFoundError, min_digits_for, pslq, rediscover_triple
 from plouffe.series import SeriesSpec, s_series
 
@@ -129,7 +130,7 @@ def test_input_rounding_is_mpmaths(data):
             tie = ((m % (1 << work - 1)) | (1 << work - 1)) << 1 | 1  # work + 1 bits
             m = (tie << data.draw(st.integers(1, 40))) + (kind == "past a tie")
         pairs.append((data.draw(st.sampled_from([1, -1])) * m, data.draw(st.integers(0, 9000))))
-    mpfs = [from_fixed(m, prec) for m, prec in pairs]
+    mpfs = [mpf(Fraction(m, 1 << prec)) for m, prec in pairs]
     expected = mpmath_rounded(mpfs, digits)
     assert relations._rounded([(m, 1 << prec) for m, prec in pairs], digits) == expected
     scaled = [mp.ldexp(x, data.draw(st.integers(-300, 300))) for x in mpfs]  # exact

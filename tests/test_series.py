@@ -1,5 +1,6 @@
 """Series evaluation tests: Lambert-type sums, assembly of pi powers and
-odd zeta values, the independent oracles, and the exponent-1 closed forms.
+odd zeta values, the independent oracles, the exponent-1 closed forms, and
+rates checked exactly.
 
 Brute-force oracles recompute each term with its own exponential (no
 incremental power trick), so they exercise a different code path than the
@@ -14,18 +15,19 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_oracles import mpf, pi_const, s1_closed_form, to_mpf
 
+from plouffe import fixed
 from plouffe.bernoulli import Target, triple_for
-from plouffe.precision import agreement_digits, pi_const, to_mpf
+from plouffe.oracles import apery_fixed
+from plouffe.precision import agreement_digits
 from plouffe.series import (
     SeriesSpec,
-    _apery_raw,
     _s_raw,
     _zeta_ref_raw,
     apery_zeta3,
     eval_pi_power,
     eval_zeta_odd,
-    s1_closed_form,
     s_series,
     truncation_index,
     zeta_reference,
@@ -74,7 +76,7 @@ def test_s_series_against_brute_force():
 
 
 def test_t_series_against_brute_force():
-    value = _s_raw(5, 2, 100, plus_one=True)
+    value = mpf(_s_raw(5, 2, 100, plus_one=True))
     oracle = brute_force_series(5, 2, 300, 140, plus_one=True)
     with mp.workdps(140):
         assert abs(value - oracle) < mp.mpf(10) ** -100
@@ -84,7 +86,7 @@ def test_t_series_against_brute_force():
 @pytest.mark.parametrize("rate", [1, 2, 4, Fraction(1, 2)])
 def test_t_equals_s_minus_2s_doubled(n, rate):
     d = 80
-    t = _s_raw(n, rate, d + 20, plus_one=True)
+    t = mpf(_s_raw(n, rate, d + 20, plus_one=True))
     s = s_series(SeriesSpec(n, rate, d)).mpf
     s2 = s_series(SeriesSpec(n, 2 * rate, d)).mpf
     with mp.workdps(d + 30):
@@ -94,7 +96,7 @@ def test_t_equals_s_minus_2s_doubled(n, rate):
 def test_t_between_zero_and_s():
     for n, rate in ((1, 1), (3, 2), (5, 4), (2, Fraction(1, 2))):
         t = _s_raw(n, rate, 70, plus_one=True)
-        s = s_series(SeriesSpec(n, rate, 50)).mpf
+        s = s_series(SeriesSpec(n, rate, 50)).value
         assert 0 < t < s
 
 
@@ -103,14 +105,14 @@ def test_truncation_five_extra_terms_are_below_guard():
         with mp.workdps(d + 40):
             base = _s_raw(n, rate, d + 20)
             more = _s_raw(n, rate, d + 20, extra_terms=5)
-            assert abs(more - base) < mp.mpf(10) ** -(d + 10)
+            assert abs(more - base) < Fraction(1, 10 ** (d + 10))
 
 
 def partial_sum(n, rate, terms, digits, plus_one=False, weights=((1, 1),)):
-    """The first `terms` q-series terms of _s_raw, rounded far below 10**-digits."""
+    """The first `terms` q-series terms of _s_raw as an mpf, rounded far below 10**-digits."""
     weight = math.ceil(sum(abs(Fraction(w)) for _, w in weights))  # as _s_raw rounds it
     default_terms = truncation_index(n, rate, digits + 1, weight)
-    return _s_raw(n, rate, digits, plus_one, terms - default_terms, weights)
+    return mpf(_s_raw(n, rate, digits, plus_one, terms - default_terms, weights))
 
 
 PI5_WEIGHTS = tuple(zip((1, 2, 4), triple_for(Target.PI_POWER, 5).coefficients()))
@@ -144,9 +146,8 @@ def test_truncation_index_tail_bound_holds():
 def test_weighted_sum_matches_separate_series():
     d = 100
     value = _s_raw(5, 1, d, weights=PI5_WEIGHTS)
-    with mp.workdps(d + 30):
-        parts = mp.fsum(to_mpf(w) * _s_raw(5, s, d + 10) for s, w in PI5_WEIGHTS)
-        assert abs(value - parts) < mp.mpf(10) ** -d
+    parts = sum(w * _s_raw(5, s, d + 10) for s, w in PI5_WEIGHTS)
+    assert abs(value - parts) < Fraction(1, 10 ** d)
 
 
 def lambert_partial_sum(n, rate, terms, dps, plus_one=False, weights=((1, 1),)):
@@ -186,7 +187,7 @@ def test_block_edges_match_lambert_partial_sums(n, rate, digits, plus_one, weigh
 def test_slow_rate_with_thousands_of_terms(plus_one):
     # r = 1/100: q = 0.969, 2452 terms in blocks of 49
     rate = Fraction(1, 100)
-    value = _s_raw(5, rate, 30, plus_one=plus_one)
+    value = mpf(_s_raw(5, rate, 30, plus_one=plus_one))
     with mp.workdps(60):
         reference = brute_force_reference(5, to_mpf(rate), 30, plus_one)
         assert abs(value - reference) < mp.mpf(10) ** -30
@@ -213,7 +214,7 @@ RATES = st.one_of(st.sampled_from([Fraction(1, 2), 1, 2, 4]),
 def test_s_raw_matches_brute_force(n, rate, digits, plus_one):
     with mp.workdps(digits + 30):
         r = to_mpf(rate)
-        value = _s_raw(n, r, digits, plus_one=plus_one)
+        value = mpf(_s_raw(n, r, digits, plus_one=plus_one))
         reference = brute_force_reference(n, r, digits, plus_one)
         assert abs(value - reference) < mp.mpf(10) ** -digits
 
@@ -281,17 +282,17 @@ def test_apery_agrees_with_eta_oracle():
 @settings(max_examples=40, deadline=None)
 @given(digits=st.integers(1, 600))
 def test_apery_oracle_matches_mpmath_zeta(digits):
-    value = _apery_raw(digits)
+    m, prec = apery_fixed(digits)
     with mp.workdps(digits + 30):
-        assert abs(value - mp.zeta(3)) < mp.mpf(10) ** -digits
+        assert abs(mp.ldexp(m, -prec) - mp.zeta(3)) < mp.mpf(10) ** -digits
 
 
 def test_apery_oracle_ignores_the_ambient_precision():
     with mp.workdps(15):
-        coarse = _apery_raw(100)
+        coarse = apery_zeta3(100)
     with mp.workdps(3000):
-        fine = _apery_raw(100)
-    assert coarse._mpf_ == fine._mpf_
+        fine = apery_zeta3(100)
+    assert coarse == fine
 
 
 def test_zeta_reference_even_values():
@@ -306,7 +307,7 @@ def test_zeta_reference_even_values():
 @settings(max_examples=40, deadline=None)
 @given(s=st.integers(2, 41), digits=st.integers(1, 600))
 def test_eta_oracle_matches_mpmath_zeta(s, digits):
-    value = _zeta_ref_raw(s, digits)
+    value = mpf(_zeta_ref_raw(s, digits))
     with mp.workdps(digits + 30):
         assert abs(value - mp.zeta(s)) < mp.mpf(10) ** -digits
 
@@ -316,7 +317,7 @@ def test_eta_oracle_ignores_the_ambient_precision():
         coarse = _zeta_ref_raw(7, 300)
     with mp.workdps(3000):
         fine = _zeta_ref_raw(7, 300)
-    assert coarse._mpf_ == fine._mpf_
+    assert coarse == fine
 
 
 @settings(max_examples=30, deadline=None)
@@ -372,6 +373,31 @@ def test_series_spec_validation():
         SeriesSpec(1, 0, 50)
     with pytest.raises(ValueError):
         SeriesSpec(1, 1, 0)
+
+
+def test_rates_are_checked_exactly():
+    # float(r) underflows to 0 at 10^-400 and overflows at 10^400
+    for rate in (Fraction(1, 10 ** 400), 10 ** 400):
+        assert SeriesSpec(3, rate, 10).r == rate
+    for rate in (-Fraction(1, 10 ** 400), -10 ** 400):
+        with pytest.raises(ValueError, match=r"^series rate r must be positive$"):
+            SeriesSpec(3, rate, 10)
+    assert truncation_index(3, 10 ** 400, 10) == 1
+    assert s_series(SeriesSpec(3, 10 ** 400, 10)).value == 0  # e^(-pi 10^400) is 0 at any precision
+
+
+@pytest.mark.parametrize("rate, estimate", [(Fraction(1, 10 ** 400), "2.27e+401"),
+                                            (Fraction(1, 10 ** 6), "2.27e+7")])
+def test_a_rate_past_the_term_limit_is_refused_before_any_kernel_work(monkeypatch, rate,
+                                                                      estimate):
+    def computed(*_):
+        raise AssertionError("kernel work before the term limit refused the rate")
+
+    monkeypatch.setattr(fixed, "q_fixed", computed)
+    with pytest.raises(ValueError) as refused:
+        s_series(SeriesSpec(3, rate, 10))
+    assert str(refused.value).endswith(
+        f"needs about {estimate} terms for 31 digits, past the limit of MAX_TERMS = 1000000")
 
 
 @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9, 11, 13])
