@@ -112,20 +112,20 @@ def _cmd_coeffs(args):
 
 
 def _cmd_eval(args):
-    from .fixed import GUARD, decimal_string, q_sums
+    from .fixed import GUARD, agreement_digits, decimal_string
+    from .series import series_term, term_values
 
     triple = triple_for(Target(args.target), args.exponent)
-    (mantissa,), prec = q_sums(args.exponent, 1, args.digits + GUARD, [triple.weights()])
+    terms = [series_term(args.exponent, 1, weights=triple.weights())]
+    terms += [(triple.target.value, args.exponent)] if args.check else []  # the oracle
+    values = term_values(terms, args.digits + GUARD)
+    mantissa, prec = values[terms[0]]
     text = decimal_string(mantissa, args.digits, -prec)
     result = {"value": text}
     lines = [text]
     row = [args.target, str(args.exponent), str(args.digits), text]
     if args.check:
-        from .fixed import agreement_digits
-        from .oracles import pi_power, zeta_fixed
-
-        oracle = pi_power if triple.target is Target.PI_POWER else zeta_fixed
-        m, oracle_prec = oracle(args.exponent, args.digits + GUARD)
+        m, oracle_prec = values[terms[1]]
         agree = min(agreement_digits(Fraction(mantissa, 1 << prec), Fraction(m, 1 << oracle_prec)),
                     args.digits)
         result["oracle_agreement_digits"] = agree

@@ -121,8 +121,8 @@ def truncation_index(n, rate, target_digits, weight=1):
             terms += 1
         if terms <= MAX_TERMS:
             return terms
-    raise ValueError(f"a q-series at rate {nstr(rate, 5)} needs about {nstr(terms, 3)} terms for "
-                     f"{target_digits} digits, past the limit of MAX_TERMS = {MAX_TERMS}")
+    raise ValueError(f"a q-series at rate {nstr(rate, 5)} needs about {nstr(terms, 3)} terms, "
+                     f"past the limit of MAX_TERMS = {MAX_TERMS}")
 
 
 def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
@@ -211,13 +211,15 @@ def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
 def ratio(x):
     """x as an exact (numerator, denominator) pair: an mpf from its raw (sign,
     mantissa, exponent), with no mpmath import, an int, float, Fraction,
-    Decimal or PrecisionReal by `as_integer_ratio`, else through `Fraction`."""
-    if not hasattr(x, "_mpf_"):
+    Decimal or PrecisionReal by `as_integer_ratio`, else through `Fraction`.
+    An infinity or a NaN of mpmath, float or Decimal is a ValueError."""
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_
+        if man or not exp:  # else mpmath's inf, -inf or nan
+            return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+    elif x.is_finite() if isinstance(x, Decimal) else not isinstance(x, float) or math.isfinite(x):
         return (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:  # mpmath's inf, -inf and nan
-        raise ValueError(f"cannot render non-finite value {x!r}")
-    return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+    raise ValueError(f"cannot render non-finite value {x!r}")
 
 
 def _round(x, exponent, count, rounding):

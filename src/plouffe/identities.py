@@ -4,12 +4,13 @@ special-point reductions, the Vepstas expression for zeta(4m+1), and the
 T/S companion identity.
 
 Each identity is a form: (coefficient, term) pairs whose sum vanishes when
-the identity holds.  A term is ("S", n, rate, plus_one, weights) for the
-q-series sum_s w_s S_n(s rate) (T_n with plus_one), ("zeta", s) for the
-independent eta oracle, or ("pi", k) for pi**k.  A coefficient or a rate is
-an exact rational, or a pair (rho, j) for rho * pi**j, so that no number is
-rounded before :func:`_run` fixes the precision with the one rule in
-:func:`places`; it evaluates each distinct term once.
+the identity holds, its terms those that `series.term_values` evaluates:
+("S", n, rate, plus_one, weights) for the q-series sum_s w_s S_n(s rate)
+(T_n with plus_one), ("zeta", s) for the independent eta oracle, or
+("pi", k) for pi**k.  A coefficient or a rate is an exact rational, or a
+pair (rho, j) for rho * pi**j, so that no number is rounded before
+:func:`_run` fixes the precision with the one rule in :func:`places`; it
+evaluates each distinct term once.
 
 Every zeta value comes from the independent alternating-eta oracle, never
 from the three-series assembly, and every power of pi from Machin's formula
@@ -26,8 +27,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
-from .fixed import GUARD, nstr, pi_fixed, places, q_sums, ratio
-from .oracles import pi_power, zeta_fixed
+from .fixed import GUARD, nstr, places, ratio
+from .precision import PrecisionReal
+from .series import _rho_j, series_term, term_values
 
 
 class ResidualReport(namedtuple("ResidualReport", "identity parameters residual digits passed")):
@@ -43,45 +45,6 @@ class ResidualReport(namedtuple("ResidualReport", "identity parameters residual 
         }
 
 
-def series_term(n, rate, plus_one=False, weights=((1, 1),)):
-    """The term sum_s w_s S_n(s rate), or T_n(rate) with plus_one."""
-    if isinstance(rate, tuple) and rate[1] == 0:
-        rate = rate[0]  # so that equal terms compare equal
-    return ("S", n, rate, plus_one, tuple(weights))
-
-
-def _rho_j(x):
-    """A coefficient or rate as (rho, j), rho a Fraction, for rho pi^j."""
-    rho, j = x if isinstance(x, tuple) else (x, 0)
-    return Fraction(rho), j
-
-
-def term_values(terms, accuracy):
-    """{term: (m, prec)} for S and zeta terms, each value m 2**-prec within
-    10**-accuracy.  The S terms of one (n, plus_one) at integer multiples of
-    their lowest rate share one `q_sums` pass, and the rest take further
-    passes; a rate rho pi^j is taken exactly with `pi_fixed` at accuracy + 10
-    places."""
-    groups, values = {}, {}
-    bits = math.ceil((accuracy + 10) * math.log2(10))
-    for term in terms:
-        if term[0] == "zeta":
-            values[term] = zeta_fixed(term[1], accuracy)
-        else:
-            rho, j = _rho_j(term[2])
-            rate = rho * Fraction(pi_fixed(bits), 1 << bits) ** j if j else rho
-            groups.setdefault((term[1], term[3]), []).append((rate, term))
-    for (n, plus_one), group in groups.items():
-        while group:
-            base = min(rate for rate, _ in group)
-            shared = [(rate, term) for rate, term in group if (rate / base).denominator == 1]
-            weights = [tuple((s * int(rate / base), w) for s, w in t[4]) for rate, t in shared]
-            sums, prec = q_sums(n, base, accuracy, weights, plus_one)
-            values.update((term, (m, prec)) for (_, term), m in zip(shared, sums))
-            group = [pair for pair in group if pair not in shared]
-    return values
-
-
 def _run(checks, digits):
     """Reports for (identity, parameters, form) checks, residuals exact.
 
@@ -89,8 +52,8 @@ def _run(checks, digits):
     needs its S and zeta terms to places(digits + GUARD, N C), and each
     distinct term is evaluated once, to the most demanding form's accuracy.
     A form's pairs are summed exactly by power j of pi, ("pi", k) being 1 at
-    j + k, each sum A_j over one denominator 2**P, then multiplied by pi^j
-    from `pi_power` at places(accuracy + 1, A_j) for the largest A_j.  So
+    j + k, each sum A_j over one denominator 2**P, then multiplied by pi^j,
+    the ("pi", |j|) term at places(accuracy + 1, A_j) for the largest A_j.  So
     the terms leave the residual off by under 10**-(digits + GUARD), and
     each pi^j by 10**-(accuracy + 1).  A report passes when the exact
     |residual| is below 10**-digits; it holds |residual| cut to 2**-(P + 64).
@@ -112,8 +75,8 @@ def _run(checks, digits):
     places_pi = max((places(accuracy + 1, int(abs(a)) >> P) for groups in sums
                      for j, a in groups.items() if j), default=0)
     pis = {0: 1}
-    for k in {abs(j) for groups in sums for j in groups} - {0}:
-        m, prec = pi_power(k, places_pi)
+    for (_, k), (m, prec) in term_values({("pi", abs(j)) for groups in sums for j in groups if j},
+                                         places_pi).items():
         pis[k], pis[-k] = Fraction(m, 1 << prec), Fraction(1 << prec, m)
     reports = []
     for (identity, parameters, _), groups in zip(checks, sums):
@@ -126,8 +89,6 @@ def _run(checks, digits):
 
 def _public(reports):
     """The reports with each exact residual as a PrecisionReal."""
-    from .precision import PrecisionReal  # not needed by the CLI, which calls `_run`
-
     return [r._replace(residual=PrecisionReal(r.residual, r.digits)) for r in reports]
 
 
@@ -252,7 +213,7 @@ def _triple(target, exponent):
     triple = triple_for(target, exponent)
     return "triple", {"target": triple.target.value, "exponent": exponent}, [
         (1, series_term(exponent, 1, weights=triple.weights())),
-        (-1, ("pi" if triple.target is Target.PI_POWER else "zeta", exponent))]
+        (-1, (triple.target.value, exponent))]
 
 
 def triple_residual(target, exponent, digits):

@@ -1,5 +1,5 @@
 """Integer relation detection via PSLQ, and rediscovery of the coefficient
-triples from raw high-precision values.
+triples from raw high-precision values, those of `series.term_values`.
 
 The implementation follows the standard PSLQ formulation (lower-trapezoidal
 H matrix, gamma = sqrt(4/3) row selection, Hermite reduction) as exact
@@ -23,8 +23,9 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .bernoulli import Target, triple_for
-from .fixed import GUARD, places, q_sums, ratio
-from .oracles import pi_power, zeta_fixed
+from .fixed import GUARD, places, ratio
+from .precision import PrecisionReal
+from .series import series_term, term_values
 
 MAX_COEFF = 10 ** 9  # the largest relation coefficient searched for
 MAX_ITERATIONS = 10 ** 4
@@ -129,8 +130,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
 
 def _public(result, digits):
     """The result with its exact residual (m, prec), m 2**-prec, as a PrecisionReal."""
-    from .precision import PrecisionReal  # not needed by the CLI, which calls `_rediscover`
-
     m, prec = result.residual
     return result._replace(residual=PrecisionReal(m * Fraction(2) ** -prec, digits))
 
@@ -285,11 +284,10 @@ def _rediscover(target, exponent, digits):
     expected = triple_for(target, exponent)  # validates target/exponent
 
     # a relation with coefficients up to the bound must vanish to digits + GUARD places
-    accuracy = places(digits + GUARD, 4 * MAX_COEFF)
-    oracle = pi_power if target is Target.PI_POWER else zeta_fixed
-    sums, prec = q_sums(exponent, 1, accuracy, [((s, 1),) for s, _ in expected.weights()])
-    inputs = [oracle(exponent, accuracy)] + [(m, prec) for m in sums]  # S(1), S(2), S(4) in one pass
-    result = _pslq(*_rounded([(m, 1 << prec) for m, prec in inputs], digits), digits, MAX_COEFF)
+    terms = [(target.value, exponent)] + [series_term(exponent, s) for s, _ in expected.weights()]
+    values = term_values(terms, places(digits + GUARD, 4 * MAX_COEFF))
+    result = _pslq(*_rounded([(m, 1 << prec) for m, prec in map(values.get, terms)], digits),
+                   digits, MAX_COEFF)
     if not result.found:
         why = result.stop
         if why == "norm bound":
@@ -317,8 +315,8 @@ def rediscover_triple(target, exponent, digits):
     Runs PSLQ on [target value, S(1), S(2), S(4)], normalizes the relation
     so the target's coefficient is -1, and checks the recovered rationals
     against the exact closed-form triple.  Returns (RelationResult, triple).
-    The S values come from one `fixed.q_sums` pass and the target from
-    `oracles.pi_power` or `oracles.zeta_fixed`, all in integers.
+    All four values come from `series.term_values`, in integers: the S
+    values from one kernel pass, and the target from its independent oracle.
     """
     result, expected = _rediscover(target, exponent, digits)
     return _public(result, digits), expected

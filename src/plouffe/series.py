@@ -1,31 +1,30 @@
-"""High-precision evaluation of the Lambert-type series S_n(r) and T_n(r),
-assembly of pi^(2n+1) and zeta(2n+1) from exact coefficient triples, and
-independent zeta oracles for cross-checking, each value an exact dyadic
-Fraction in a PrecisionReal.
+"""The evaluation layer: :func:`term_values`, which every command and public
+evaluator calls, gives the Lambert-type series S_n(r) and T_n(r), pi^(2n+1)
+and zeta(2n+1) assembled from exact coefficient triples, and the oracles
+they are checked against, each as an integer m 2**-prec.
 
 With q = e^(-pi r), S_n(s r) = sum_k 1/(k^n (e^(pi s r k) - 1)) is the power
 series sum_{s|M} sigma_{-n}(M/s) q^M, sigma_{-n}(m) = sum_{d|m} d^(-n).  So a
 rational combination such as a S_n(1) + b S_n(2) + c S_n(4) is one q-series,
-summed once in fixed-point integers (`fixed.q_sums`, wrapped by
-:func:`_s_raw`) up to a proven tail bound (:func:`truncation_index`), with no
-full-precision division.  Its N small rational coefficients make it a
-polynomial in one fixed q, which rectangular splitting evaluates with about
-2 sqrt(N) full multiplies and N scalar operations, each linear in the
-working precision.
+summed once in fixed-point integers (`fixed.q_sums`) up to a proven tail
+bound (:func:`truncation_index`), with no full-precision division.  Its N
+small rational coefficients make it a polynomial in one fixed q, which
+rectangular splitting evaluates with about 2 sqrt(N) full multiplies and N
+scalar operations, each linear in the working precision.
 
-Oracle independence: :func:`zeta_reference` (accelerated alternating eta
-series) and :func:`apery_zeta3` wrap the integer oracles of
-`plouffe.oracles`, which share no code path with the S/T series or the
-triple assembly, so agreement between the two routes is meaningful
-evidence rather than a tautology.
+Oracle independence: the ("zeta", s) and ("pi", k) terms and
+:func:`apery_zeta3` come from the integer oracles of `plouffe.oracles`,
+which share no code path with the S/T series or the triple assembly, so
+agreement between the two routes is evidence rather than a tautology.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .bernoulli import Target, triple_for
-from .fixed import q_sums, ratio, truncation_index  # noqa: F401  (public here too)
-from .oracles import apery_fixed, zeta_fixed
+from .fixed import pi_fixed, q_sums, ratio, truncation_index  # noqa: F401  (public here too)
+from .oracles import apery_fixed, pi_power, zeta_fixed
 from .precision import GUARD, PrecisionReal
 
 
@@ -49,6 +48,55 @@ class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
         return cls(*iterable)  # so that _replace checks as the constructor does
 
 
+def series_term(n, rate, plus_one=False, weights=((1, 1),)):
+    """The term sum_s w_s S_n(s rate), or T_n(rate) with plus_one."""
+    if type(rate) is tuple and rate[1] == 0:
+        rate = rate[0]  # so that equal terms compare equal
+    return ("S", n, rate, plus_one, tuple(weights))
+
+
+def _rho_j(x):
+    """A coefficient or rate as (rho, j), rho a Fraction, for rho pi^j."""
+    rho, j = x if type(x) is tuple else (x, 0)  # a named tuple, as a PrecisionReal, is a rho
+    return Fraction(*ratio(rho)), j
+
+
+def term_values(terms, accuracy):
+    """{term: (m, prec)}, each value m 2**-prec within 10**-accuracy, for S
+    terms (`series_term`), ("zeta", s) from the eta oracle and ("pi", k) from
+    Machin's pi^k.  The S terms of one (n, plus_one) at integer multiples of
+    their lowest rate share one `q_sums` pass, the rest take further passes,
+    and a rate rho pi^j is taken exactly with `pi_fixed` at accuracy + 10
+    places.  The S passes run first: a sum past MAX_TERMS is refused before
+    any oracle runs."""
+    groups, values = {}, {}
+    bits = math.ceil((accuracy + 10) * math.log2(10))
+    for term in terms:
+        if term[0] == "S":
+            rho, j = _rho_j(term[2])
+            rate = rho * Fraction(pi_fixed(bits), 1 << bits) ** j if j else rho
+            groups.setdefault((term[1], term[3]), []).append((rate, term))
+    for (n, plus_one), group in groups.items():
+        while group:
+            base = min(rate for rate, _ in group)
+            shared = [(rate, term) for rate, term in group if (rate / base).denominator == 1]
+            weights = [tuple((s * int(rate / base), w) for s, w in t[4]) for rate, t in shared]
+            sums, prec = q_sums(n, base, accuracy, weights, plus_one)
+            values.update((term, (m, prec)) for (_, term), m in zip(shared, sums))
+            group = [pair for pair in group if pair not in shared]
+    for kind, k in (term for term in terms if term[0] != "S"):
+        values[kind, k] = zeta_fixed(k, accuracy) if kind == "zeta" else pi_power(k, accuracy)
+    return values
+
+
+def _value(term, digits):
+    """The term's value as a PrecisionReal of `digits`, computed within 10**-(digits + GUARD)."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    ((m, prec),) = term_values([term], digits + GUARD).values()
+    return PrecisionReal(Fraction(m, 1 << prec), digits)
+
+
 def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)):
     """sum_s w_s S_n(s r) (T_n with plus_one) as an exact dyadic Fraction with
     absolute error below 10**-target_digits: `fixed.q_sums` of one output at
@@ -59,27 +107,19 @@ def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)
 
 def s_series(spec):
     """S_n(r) at the precision requested by `spec`."""
-    value = _s_raw(spec.n, spec.r, spec.digits + GUARD)
-    return PrecisionReal(value, spec.digits)
-
-
-def _assemble(triple, digits):
-    """a*S(1) + b*S(2) + c*S(4) at absolute error below 10**-(digits + GUARD),
-    summed as one weighted q-series."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    value = _s_raw(triple.exponent, 1, digits + GUARD, weights=triple.weights())
-    return PrecisionReal(value, digits)
+    return _value(series_term(spec.n, spec.r), spec.digits)
 
 
 def eval_pi_power(exponent, digits):
     """pi**exponent assembled from its three-series representation."""
-    return _assemble(triple_for(Target.PI_POWER, exponent), digits)
+    triple = triple_for(Target.PI_POWER, exponent)
+    return _value(series_term(exponent, 1, weights=triple.weights()), digits)
 
 
 def eval_zeta_odd(exponent, digits):
     """zeta(exponent) for odd exponent >= 3, assembled from its triple."""
-    return _assemble(triple_for(Target.ZETA_VALUE, exponent), digits)
+    triple = triple_for(Target.ZETA_VALUE, exponent)
+    return _value(series_term(exponent, 1, weights=triple.weights()), digits)
 
 
 def apery_zeta3(digits):
@@ -91,8 +131,8 @@ def apery_zeta3(digits):
 
 
 def _zeta_ref_raw(s, target_digits):
-    """zeta(s) within 10**-target_digits, as the exact Fraction of `oracles.zeta_fixed`."""
-    m, prec = zeta_fixed(s, target_digits)
+    """zeta(s) within 10**-target_digits, as the exact Fraction of its ("zeta", s) term."""
+    ((m, prec),) = term_values([("zeta", s)], target_digits).values()
     return Fraction(m, 1 << prec)
 
 
@@ -100,6 +140,4 @@ def zeta_reference(s, digits):
     """Independent zeta oracle for integer s >= 2 (no Lambert-series code)."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_reference requires an integer s >= 2")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    return PrecisionReal(_zeta_ref_raw(s, digits + GUARD), digits)
+    return _value(("zeta", s), digits)

@@ -46,6 +46,8 @@ from plouffe.series import (
     eval_pi_power,
     eval_zeta_odd,
     s_series,
+    series_term,
+    term_values,
     zeta_reference,
 )
 
@@ -172,26 +174,46 @@ def imported_modules(module):
     return imported | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
 
 
-def test_criterion_8_oracle_independence_is_structural():
+def test_criterion_8_oracle_independence_is_structural(monkeypatch):
     # the oracles (zeta, zeta(3), and the pi behind the pi-power targets of
     # discover) never touch the Lambert-series evaluator or its pi, and the
-    # assembly path, down to the integer kernel, never touches the oracles
-    oracle_side = (inspect.getsource(oracles_module)
-                   + inspect.getsource(series_module._zeta_ref_raw)
-                   + inspect.getsource(series_module.apery_zeta3))
-    assembly_side = (inspect.getsource(series_module._s_raw)
-                     + inspect.getsource(series_module._assemble)
-                     + inspect.getsource(fixed_module))
+    # kernel, which every S/T value comes from, never touches the oracles;
+    # `series.term_values` is the one function that calls both
+    oracle_side = inspect.getsource(oracles_module) + inspect.getsource(series_module.apery_zeta3)
+    kernel_side = inspect.getsource(fixed_module) + inspect.getsource(series_module._s_raw)
     for name in ("_s_raw", "q_sums", "q_fixed", "triple_for", "pi_fixed", "_chudnovsky",
-                 "exp_neg"):
+                 "exp_neg", "term_values"):
         assert name not in oracle_side, name
     for name in ("_zeta_ref_raw", "apery_zeta3", "oracles", "zeta_fixed", "apery_fixed",
-                 "machin_pi", "pi_power"):
-        assert name not in assembly_side, name
+                 "machin_pi", "pi_power", "term_values"):
+        assert name not in kernel_side, name
     # neither imports mpmath, and the oracles import nothing of the kernel's,
     # so the kernel's pi is not the pi-power oracle's
     assert imported_modules(fixed_module) == {"math", "decimal", "fractions"}
     assert imported_modules(oracles_module) == {"math"}
+
+    # and in behaviour: each side still serves its terms with the other side broken
+    def break_all(patch, modules, names):
+        def refused(*_):
+            raise AssertionError("the other side of the evaluator was called")
+
+        for module in modules:
+            for name in names:
+                if hasattr(module, name):
+                    patch.setattr(module, name, refused)
+
+    s_terms = [series_term(5, 1, weights=triple_for(Target.PI_POWER, 5).weights()),
+               series_term(3, (Fraction(1, 2), 1), plus_one=True)]
+    oracle_terms = [("zeta", 5), ("pi", 3)]
+    values, pi3 = term_values(s_terms + oracle_terms, 60), eval_pi_power(3, 60)
+    with monkeypatch.context() as patch:
+        break_all(patch, (series_module, oracles_module),
+                  ("zeta_fixed", "pi_power", "machin_pi", "apery_fixed"))
+        assert term_values(s_terms, 60) == {term: values[term] for term in s_terms}
+        assert eval_pi_power(3, 60) == pi3
+    with monkeypatch.context() as patch:
+        break_all(patch, (fixed_module, series_module), ("q_sums", "q_fixed", "pi_fixed", "exp_neg"))
+        assert term_values(oracle_terms, 60) == {term: values[term] for term in oracle_terms}
     # and the agreement evidence from criteria 2-3 is therefore non-circular
     announce(8, "oracle independence enforced structurally")
 

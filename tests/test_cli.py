@@ -15,6 +15,7 @@ import mpmath as mp
 import pytest
 from mp_oracles import pi_const
 
+from plouffe import oracles, series
 from plouffe.bernoulli import Target, triple_for
 from plouffe.cli import _load_cache, build_parser, main
 from plouffe.precision import decimal_string
@@ -113,11 +114,23 @@ def test_eval_digits_pinned_to_mpmath(capsys, target, exponent, digits):
         assert out == decimal_string(value, digits) + "\n"
 
 
-def test_eval_past_the_term_limit_is_usage_error(capsys):
-    # 2 million digits need about 1.47 million terms: refused before any sum is formed
-    code, out, err = run_cli(capsys, "eval", "pi", "1", "--digits", "2000000")
+@pytest.mark.parametrize("argv", [("eval", "pi", "1"), ("eval", "pi", "1", "--check"),
+                                  ("eval", "zeta", "3", "--check"), ("discover", "pi", "1")],
+                         ids=["eval", "eval-check-pi", "eval-check-zeta", "discover"])
+def test_eval_past_the_term_limit_is_usage_error(monkeypatch, capsys, argv):
+    # 2 million digits need about 1.47 million terms: refused before any sum is
+    # formed, and before any oracle runs, which would take minutes here
+    def computed(*_):
+        raise AssertionError("oracle work before the term limit refused the sum")
+
+    for module in (series, oracles):
+        for name in ("pi_power", "zeta_fixed", "machin_pi"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, computed)
+    code, out, err = run_cli(capsys, *argv, "--digits", "2000000")
     assert (code, out) == (2, "")
-    assert "needs about 1.47e+6 terms" in err and "MAX_TERMS = 1000000" in err
+    assert err == ("error: a q-series at rate 1.0 needs about 1.47e+6 terms, "
+                   "past the limit of MAX_TERMS = 1000000\n")
 
 
 def test_eval_even_exponent_is_usage_error(capsys):

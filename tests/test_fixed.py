@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -179,7 +180,9 @@ def test_ratio_is_exact_and_rejects_non_finite_values():
     assert fixed.ratio(mp.mpf(-24)) == (-24, 1)
     assert fixed.ratio(Fraction(-6, 4)) == (-3, 2)
     assert fixed.ratio(0.1) == Fraction(0.1).as_integer_ratio()
-    for value in (mp.inf, -mp.inf, mp.nan):
+    assert fixed.ratio(10 ** 400) == (10 ** 400, 1)  # no float is taken of the input
+    for value in (mp.inf, -mp.inf, mp.nan, math.inf, -math.inf, math.nan,
+                  Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"), Decimal("sNaN")):
         with pytest.raises(ValueError, match="non-finite"):
             fixed.ratio(value)
 

@@ -11,9 +11,11 @@ home modules.  The record types keep the value semantics of frozen
 dataclasses, and they pickle, so a process pool can return them; a thread
 pool returns the same values as serial calls.  Public entry points reject
 digits < 1 before they compute anything.  Every function the benchmark's
-tracer wraps or reads still exists.
+tracer wraps or reads still exists.  The kernel and the oracles are reached
+only through `series.term_values`.
 """
 
+import ast
 import copy
 import importlib
 import importlib.util
@@ -200,6 +202,45 @@ def test_every_name_the_benchmark_tracer_wraps_is_callable():
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
 
 
+def names_used(path):
+    """{name: the functions of the module at `path` that use it}, for every
+    name and attribute the code reads; code outside a function counts as
+    the module's own."""
+    used = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name:
+                used.setdefault(name, set()).add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{path.stem}.{child.name}" if inner else owner)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return used
+
+
+def test_the_kernel_and_the_oracles_are_reached_only_through_term_values():
+    # series.term_values is the one door to the numbers: the commands and the
+    # API reach the kernel and the oracles through it, and past it only
+    # _s_raw, which the tests and the benchmark tracer call, reaches the kernel
+    source = pathlib.Path(plouffe.__file__).resolve().parent
+    used = {}
+    for path in source.glob("*.py"):
+        for name, owners in names_used(path).items():
+            used.setdefault(name, set()).update(owners)
+    assert used["q_sums"] == {"series.term_values", "series._s_raw"}
+    assert used["zeta_fixed"] == used["pi_power"] == {"series.term_values"}
+    for module in ("cli", "relations", "identities"):
+        tree = ast.parse((source / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module not in ("oracles", "plouffe.oracles"), module
+                assert "q_sums" not in {alias.name for alias in node.names}, module
+            elif isinstance(node, ast.Import):
+                assert "plouffe.oracles" not in {alias.name for alias in node.names}, module
+
+
 # In a fresh interpreter, where no name has been resolved yet.
 LAZY_API = """
 import sys
@@ -360,13 +401,14 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
     def computed(*_):
         raise AssertionError("computed before rejecting digits")
 
-    monkeypatch.setattr(identities, "term_values", computed)
+    # the one evaluator, wherever it is bound
+    for module in (series, relations, identities):
+        monkeypatch.setattr(module, "term_values", computed)
     monkeypatch.setattr(series, "_s_raw", computed)
     # and the kernel and the oracles themselves, wherever they are bound
-    for module in (fixed, series, relations, identities):
+    for module in (fixed, series):
         monkeypatch.setattr(module, "q_sums", computed)
     for name in ("pi_power", "zeta_fixed"):
-        monkeypatch.setattr(relations, name, computed)
-        monkeypatch.setattr(identities, name, computed)
+        monkeypatch.setattr(series, name, computed)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)

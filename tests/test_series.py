@@ -20,7 +20,7 @@ from mp_oracles import mpf, pi_const, s1_closed_form, to_mpf
 from plouffe import fixed
 from plouffe.bernoulli import Target, triple_for
 from plouffe.oracles import apery_fixed
-from plouffe.precision import agreement_digits
+from plouffe.precision import PrecisionReal, agreement_digits
 from plouffe.series import (
     SeriesSpec,
     _s_raw,
@@ -384,6 +384,10 @@ def test_rates_are_checked_exactly():
             SeriesSpec(3, rate, 10)
     assert truncation_index(3, 10 ** 400, 10) == 1
     assert s_series(SeriesSpec(3, 10 ** 400, 10)).value == 0  # e^(-pi 10^400) is 0 at any precision
+    # a rate is its exact value whatever its type; a PrecisionReal is no (rho, j) pair
+    half = s_series(SeriesSpec(3, Fraction(1, 2), 10))
+    for rate in (0.5, mp.mpf(0.5), PrecisionReal(Fraction(1, 2), 5)):
+        assert s_series(SeriesSpec(3, rate, 10)) == half
 
 
 @pytest.mark.parametrize("rate, estimate", [(Fraction(1, 10 ** 400), "2.27e+401"),
@@ -397,7 +401,7 @@ def test_a_rate_past_the_term_limit_is_refused_before_any_kernel_work(monkeypatc
     with pytest.raises(ValueError) as refused:
         s_series(SeriesSpec(3, rate, 10))
     assert str(refused.value).endswith(
-        f"needs about {estimate} terms for 31 digits, past the limit of MAX_TERMS = 1000000")
+        f"needs about {estimate} terms, past the limit of MAX_TERMS = 1000000")
 
 
 @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9, 11, 13])
