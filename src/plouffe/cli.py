@@ -2,7 +2,9 @@
 identity verification, PSLQ rediscovery, batch tables, and Bernoulli
 numbers, with machine-readable output.
 
-Exit codes: 0 success, 1 verification/discovery failure, 2 usage error.
+Exit codes: 0 success, 1 verification/discovery failure (including an
+eval --check agreement below --digits), 2 usage error.  verify and
+discover print what the API's `verify_all` and `rediscover_triple` return.
 Identical invocations produce byte-identical standard output; wall-clock
 timing is only emitted on request (--timing), as a JSON field or on the
 error stream, so it never perturbs that guarantee.
@@ -81,18 +83,25 @@ def _triple_row(triple, sep):
                     + [format_rational(q) for q in triple.coefficients()])
 
 
-def _emit(args, record, rendered_lines):
-    """Print the JSON record, or the lines for the format ("plain" for verify, which has none)."""
-    wall_ms = int((time.monotonic() - args._t0) * 1000)
+def _emit(args, inputs, renderings):
+    """Print the rendering for the requested format ("plain" for verify, which
+    has no --format).  Each rendering is a zero-argument callable, so only the
+    printed one is built: the lines of a text format, or for "json" the
+    result, printed in a record with the command, its inputs and any --digits."""
     fmt = getattr(args, "format", "plain")
+    output = renderings[fmt]()
+    wall_ms = int((time.monotonic() - args._t0) * 1000)
     if fmt == "json":
         import json
 
+        record = {"command": args.command, "inputs": inputs, "result": output}
+        if hasattr(args, "digits"):
+            record["digits"] = args.digits
         if args.timing:
             record["wall_time_ms"] = wall_ms
         print(json.dumps(record, indent=2))
     else:
-        for line in rendered_lines[fmt]:
+        for line in output:
             print(line)
         if args.timing:
             print(f"wall_time_ms={wall_ms}", file=sys.stderr)
@@ -100,18 +109,17 @@ def _emit(args, record, rendered_lines):
 
 def _cmd_coeffs(args):
     triple = triple_for(Target(args.target), args.exponent)
-    record = {"command": "coeffs", "inputs": {"target": args.target, "exponent": args.exponent},
-              "result": _triple_json(triple)}
-    rendered = {
-        "plain": [" ".join(format_rational(q) for q in triple.coefficients())],
-        "csv": [_triple_row(triple, ",")],
-        "latex": [_formula(triple, latex=True)],
-    }
-    _emit(args, record, rendered)
+    _emit(args, {"target": args.target, "exponent": args.exponent}, {
+        "json": lambda: _triple_json(triple),
+        "plain": lambda: [" ".join(format_rational(q) for q in triple.coefficients())],
+        "csv": lambda: [_triple_row(triple, ",")],
+        "latex": lambda: [_formula(triple, latex=True)],
+    })
     return 0
 
 
 def _cmd_eval(args):
+    """Exit 1 when --check finds the value and its oracle agreeing to fewer than --digits."""
     from .fixed import GUARD, agreement_digits, decimal_string
     from .series import series_term, term_values
 
@@ -120,76 +128,73 @@ def _cmd_eval(args):
     terms += [(triple.target.value, args.exponent)] if args.check else []  # the oracle
     values = term_values(terms, args.digits + GUARD)
     mantissa, prec = values[terms[0]]
-    text = decimal_string(mantissa, args.digits, -prec)
-    result = {"value": text}
-    lines = [text]
-    row = [args.target, str(args.exponent), str(args.digits), text]
+    result = {"value": decimal_string(mantissa, args.digits, -prec)}
     if args.check:
         m, oracle_prec = values[terms[1]]
-        agree = min(agreement_digits(Fraction(mantissa, 1 << prec), Fraction(m, 1 << oracle_prec)),
-                    args.digits)
-        result["oracle_agreement_digits"] = agree
-        lines.append(f"agrees with oracle to >={agree} digits")
-        row.append(str(agree))
-    record = {"command": "eval", "inputs": {"target": args.target, "exponent": args.exponent},
-              "result": result, "digits": args.digits}
-    _emit(args, record, {"plain": lines, "csv": [",".join(row)]})
-    return 0
+        result["oracle_agreement_digits"] = min(
+            agreement_digits(Fraction(mantissa, 1 << prec), Fraction(m, 1 << oracle_prec)),
+            args.digits)
+    agree = result.get("oracle_agreement_digits")
+    _emit(args, {"target": args.target, "exponent": args.exponent}, {
+        "json": lambda: result,
+        "plain": lambda: ([result["value"]]
+                          + ([f"agrees with oracle to >={agree} digits"] if args.check else [])),
+        "csv": lambda: [",".join(map(str, [args.target, args.exponent, args.digits,
+                                           *result.values()]))],
+    })
+    return 1 if args.check and agree < args.digits else 0
 
 
 def _cmd_verify(args):
     import json
 
-    from .identities import _run, _verify_checks
+    from .identities import verify_all
 
-    reports = _run(_verify_checks(args.max_m), args.digits)
-    _emit(args, None, {"plain": [json.dumps([r.to_json_dict() for r in reports], indent=2)]})
+    reports = verify_all(args.max_m, args.digits)
+    _emit(args, None,
+          {"plain": lambda: [json.dumps([r.to_json_dict() for r in reports], indent=2)]})
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_discover(args):
     from .fixed import nstr
-    from .relations import RelationNotFoundError, _rediscover
+    from .relations import RelationNotFoundError, rediscover_triple
 
     try:
-        result, triple = _rediscover(Target(args.target), args.exponent, args.digits)
+        result, triple = rediscover_triple(args.target, args.exponent, args.digits)
     except RelationNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     vector_text = "[" + ", ".join(format_rational(q) for q in (-1, *triple.coefficients())) + "]"
     formula = _formula(triple)
-    record = {
-        "command": "discover", "inputs": {"target": args.target, "exponent": args.exponent},
-        "result": {
+    _emit(args, {"target": args.target, "exponent": args.exponent}, {
+        "json": lambda: {
             "vector": vector_text,
             "canonical_vector": list(result.vector),
             "formula": formula,
             "iterations": result.iterations,
-            "residual": nstr(result.residual[0], 5, -result.residual[1]),
+            "residual": nstr(result.residual, 5),
         },
-        "digits": args.digits}
-    _emit(args, record, {"plain": [vector_text, formula]})
+        "plain": lambda: [vector_text, formula],
+    })
     return 0
 
 
 def _cmd_table(args):
     triples = [triple_for(target, e) for e in range(1, 4 * args.max_m + 2, 2) for target in Target
                if target is Target.PI_POWER or e >= 3]
-    record = {"command": "table", "inputs": {"max_m": args.max_m},
-              "result": [_triple_json(t) for t in triples]}
-    rendered = {
-        "plain": [_triple_row(t, " ") for t in triples],
-        "csv": [_triple_row(t, ",") for t in triples],
-        "latex": [_formula(t, latex=True) for t in triples],
-    }
-    _emit(args, record, rendered)
+    _emit(args, {"max_m": args.max_m}, {
+        "json": lambda: [_triple_json(t) for t in triples],
+        "plain": lambda: [_triple_row(t, " ") for t in triples],
+        "csv": lambda: [_triple_row(t, ",") for t in triples],
+        "latex": lambda: [_formula(t, latex=True) for t in triples],
+    })
     return 0
 
 
 def _cmd_bernoulli(args):
     text = format_rational(bernoulli(args.index))
-    record = {"command": "bernoulli", "inputs": {"index": args.index}, "result": text}
-    _emit(args, record, {"plain": [text]})
+    _emit(args, {"index": args.index}, {"json": lambda: text, "plain": lambda: [text]})
     return 0
 
 

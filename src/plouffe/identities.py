@@ -18,8 +18,8 @@ from the three-series assembly, and every power of pi from Machin's formula
 evidence and not circularity.  A report passes when the exact absolute
 residual is below 10**-digits, the contract every value is computed to; the
 residual itself is accurate to 10**-(digits + GUARD).  Values are integers
-m 2**-prec and residuals exact dyadic rationals, which `_public`, behind
-the public entry points, puts in PrecisionReals.
+m 2**-prec, and each report's residual is an exact dyadic PrecisionReal
+from the moment `_run` makes it.
 """
 
 import math
@@ -46,7 +46,8 @@ class ResidualReport(namedtuple("ResidualReport", "identity parameters residual 
 
 
 def _run(checks, digits):
-    """Reports for (identity, parameters, form) checks, residuals exact.
+    """Reports for (identity, parameters, form) checks, residuals exact
+    PrecisionReals of `digits`.
 
     A form of N pairs with coefficients up to C (bounded with 3 < pi < 4)
     needs its S and zeta terms to places(digits + GUARD, N C), and each
@@ -81,15 +82,10 @@ def _run(checks, digits):
     reports = []
     for (identity, parameters, _), groups in zip(checks, sums):
         total = abs(sum(a * pis[j] for j, a in groups.items()))
-        reports.append(ResidualReport(identity, parameters,
-                                      Fraction(math.floor(total * 2 ** 64), 1 << (P + 64)), digits,
+        residual = PrecisionReal(Fraction(math.floor(total * 2 ** 64), 1 << (P + 64)), digits)
+        reports.append(ResidualReport(identity, parameters, residual, digits,
                                       total * 10 ** digits < 1 << P))
     return reports
-
-
-def _public(reports):
-    """The reports with each exact residual as a PrecisionReal."""
-    return [r._replace(residual=PrecisionReal(r.residual, r.digits)) for r in reports]
 
 
 def _bernoulli_pair_term(n, k):
@@ -129,7 +125,7 @@ def ramanujan_residual(alpha, n, digits):
     Holds for every alpha > 0 and n >= 1; checked numerically at the given
     precision, at alpha taken exactly, with zeta from the independent oracle.
     """
-    return _public(_run([_ramanujan(alpha, n)], digits))[0]
+    return _run([_ramanujan(alpha, n)], digits)[0]
 
 
 def _symmetric_point(n):
@@ -149,7 +145,7 @@ def symmetric_point_residual(n, digits):
     Even n is rejected: F_n = 0 makes both sides vanish identically, so a
     residual check there would pass vacuously.
     """
-    return _public(_run([_symmetric_point(n)], digits))[0]
+    return _run([_symmetric_point(n)], digits)[0]
 
 
 def _zeta_4m1(m):
@@ -169,7 +165,7 @@ def zeta_4m1_residual(m, digits):
 
     with S = S_(4m+1).  m = 0 is rejected (the denominator vanishes).
     """
-    return _public(_run([_zeta_4m1(m)], digits))[0]
+    return _run([_zeta_4m1(m)], digits)[0]
 
 
 def _vepstas(m):
@@ -191,7 +187,7 @@ def vepstas_residual(m, digits):
 
     with S, T at exponent 4m+1 and T from the companion-series evaluator.
     """
-    return _public(_run([_vepstas(m)], digits))[0]
+    return _run([_vepstas(m)], digits)[0]
 
 
 def _ts_identity(n, rate):
@@ -206,7 +202,7 @@ def _ts_identity(n, rate):
 
 def ts_identity_residual(n, rate, digits):
     """Residual of T_n(x) = S_n(x) - 2 S_n(2x) at rate x."""
-    return _public(_run([_ts_identity(n, rate)], digits))[0]
+    return _run([_ts_identity(n, rate)], digits)[0]
 
 
 def _triple(target, exponent):
@@ -219,7 +215,7 @@ def _triple(target, exponent):
 def triple_residual(target, exponent, digits):
     """Residual of a*S(1) + b*S(2) + c*S(4) against an independent oracle
     (pi**exponent, or the alternating-eta zeta value)."""
-    return _public(_run([_triple(target, exponent)], digits))[0]
+    return _run([_triple(target, exponent)], digits)[0]
 
 
 def _verify_checks(max_m):
@@ -249,4 +245,4 @@ def verify_all(max_m, digits):
       - ts_identity: odd exponents <= 4*max_m+1, rates {1, 2}
       - triple: pi for every odd exponent <= 4*max_m+1, zeta for those >= 3
     """
-    return _public(_run(_verify_checks(max_m), digits))
+    return _run(_verify_checks(max_m), digits)

@@ -125,18 +125,12 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     if digits < 1:
         raise ValueError("digits must be >= 1")
     X, e = _rounded([ratio(v) for v in values], digits)
-    return _public(_pslq(X, e, digits, max_coeff_bound), digits)
-
-
-def _public(result, digits):
-    """The result with its exact residual (m, prec), m 2**-prec, as a PrecisionReal."""
-    m, prec = result.residual
-    return result._replace(residual=PrecisionReal(m * Fraction(2) ** -prec, digits))
+    return _pslq(X, e, digits, max_coeff_bound)
 
 
 def _pslq(X, e, digits, max_coeff_bound):
     """`pslq` of x_i = X_i 2**e, inputs already rounded by `_rounded`; the
-    result's residual is exact, as (m, prec) for m 2**-prec.
+    result's residual is exact, a PrecisionReal of `digits`.
 
     Exact integer state plus one H.  B and its exact inverse A are integers,
     and y = X B / |X| is not carried: the termination test and a
@@ -176,8 +170,8 @@ def _pslq(X, e, digits, max_coeff_bound):
         raise ValueError("pslq input is the zero vector")
     if 0 in X:
         # a zero entry makes the unit relation trivially exact
-        return RelationResult(_canonical([int(i == X.index(0)) for i in range(n)]), (0, 0),
-                              0, True, 1.0, "found")
+        return RelationResult(_canonical([int(i == X.index(0)) for i in range(n)]),
+                              PrecisionReal(0, digits), 0, True, 1.0, "found")
     work = _working_bits(digits)
     # the test |y_j| < 10**-(digits-10), y = X B / |X|, in integers:
     # |(X B)_j|**2 * 10**(2 digits) < |X|**2 * 10**20, i.e. |(X B)_j| <= y_max
@@ -246,9 +240,9 @@ def _pslq(X, e, digits, max_coeff_bound):
                 vector = _canonical([B[j][idx] for j in range(n)])
                 largest = max(abs(v) for v in vector)
                 if largest <= max_coeff_bound and min_digits_for(n, largest) <= digits:
-                    residual = abs(sum(v * x for v, x in zip(vector, X)))  # in units of 2**e
-                    return RelationResult(vector, (residual, -e), iterations, True, best_bound,
-                                          "found")
+                    residual = abs(sum(v * x for v, x in zip(vector, X))) * Fraction(2) ** e
+                    return RelationResult(vector, PrecisionReal(residual, digits), iterations,
+                                          True, best_bound, "found")
                 break  # numerically spent: v is too large for the bound or the digits
             # float against int, so the bound may lie past the float range
             if best_bound / math.sqrt(n) > max_coeff_bound:
@@ -272,12 +266,18 @@ def _pslq(X, e, digits, max_coeff_bound):
             if h_max > 0:
                 best_bound = max(best_bound, float(1 / h_max))
 
-    return RelationResult((), (1, 0), iterations, False, best_bound, stop)
+    return RelationResult((), PrecisionReal(1, digits), iterations, False, best_bound, stop)
 
 
-def _rediscover(target, exponent, digits):
-    """`rediscover_triple` on integers alone: the relation's residual stays
-    exact, as (m, prec) for m 2**-prec."""
+def rediscover_triple(target, exponent, digits):
+    """Recover (a, b, c) for the given target from raw numeric values.
+
+    Runs `pslq` on [target value, S(1), S(2), S(4)], normalizes the relation
+    so the target's coefficient is -1, and checks the recovered rationals
+    against the exact closed-form triple.  Returns (RelationResult, triple).
+    All four values come from `series.term_values`, in integers: the S
+    values from one kernel pass, and the target from its independent oracle.
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     target = Target(target)
@@ -286,8 +286,7 @@ def _rediscover(target, exponent, digits):
     # a relation with coefficients up to the bound must vanish to digits + GUARD places
     terms = [(target.value, exponent)] + [series_term(exponent, s) for s, _ in expected.weights()]
     values = term_values(terms, places(digits + GUARD, 4 * MAX_COEFF))
-    result = _pslq(*_rounded([(m, 1 << prec) for m, prec in map(values.get, terms)], digits),
-                   digits, MAX_COEFF)
+    result = pslq([Fraction(m, 1 << prec) for m, prec in map(values.get, terms)], digits)
     if not result.found:
         why = result.stop
         if why == "norm bound":
@@ -307,16 +306,3 @@ def _rediscover(target, exponent, digits):
             f"recovered coefficients ({a}, {b}, {c}) disagree with the exact triple "
             f"{expected.coefficients()}; the relation is spurious (insufficient precision)")
     return result, expected
-
-
-def rediscover_triple(target, exponent, digits):
-    """Recover (a, b, c) for the given target from raw numeric values.
-
-    Runs PSLQ on [target value, S(1), S(2), S(4)], normalizes the relation
-    so the target's coefficient is -1, and checks the recovered rationals
-    against the exact closed-form triple.  Returns (RelationResult, triple).
-    All four values come from `series.term_values`, in integers: the S
-    values from one kernel pass, and the target from its independent oracle.
-    """
-    result, expected = _rediscover(target, exponent, digits)
-    return _public(result, digits), expected

@@ -1,6 +1,7 @@
 """Integration tests for the command-line interface: formats, exit codes,
 cache persistence, schema conformance, and byte-level determinism."""
 
+import ast
 import importlib
 import json
 import os
@@ -15,10 +16,13 @@ import mpmath as mp
 import pytest
 from mp_oracles import pi_const
 
-from plouffe import oracles, series
+from plouffe import cli, oracles, series
 from plouffe.bernoulli import Target, triple_for
 from plouffe.cli import _load_cache, build_parser, main
+from plouffe.fixed import nstr
+from plouffe.identities import verify_all
 from plouffe.precision import decimal_string
+from plouffe.relations import rediscover_triple
 
 bernoulli_module = importlib.import_module("plouffe.bernoulli")  # the package rebinds the name
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema"
@@ -97,6 +101,26 @@ def test_eval_csv_check_appends_the_agreement(capsys):
     assert code == 0 and checked == f"zeta,3,20,1.2020569031595942854,{agree}\n"
 
 
+@pytest.mark.parametrize("target, oracle", [("zeta", "zeta_fixed"), ("pi", "pi_power")])
+def test_eval_check_exits_1_when_the_oracle_disagrees(monkeypatch, capsys, target, oracle):
+    # exit 1 is a failed verification, as for verify: an oracle off by about
+    # 10**-(D-5) leaves the printed value alone and the agreement below D
+    digits = 40
+    argv = ["eval", target, "3", "--digits", str(digits), "--check"]
+    code, out, _ = run_cli(capsys, *argv)
+    value = out.splitlines()[0]
+    assert code == 0 and out == f"{value}\nagrees with oracle to >={digits} digits\n"
+    real = getattr(series, oracle)
+
+    def off(k, accuracy):
+        m, prec = real(k, accuracy)
+        return m + 2 * (1 << prec) // 10 ** (digits - 5), prec
+
+    monkeypatch.setattr(series, oracle, off)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and out == f"{value}\nagrees with oracle to >={digits - 6} digits\n"
+
+
 DIGIT_PIN_GRID = ([("pi", n, 500) for n in range(1, 14, 2)]
                   + [("zeta", n, 200) for n in range(3, 14, 2)]
                   + [("pi", 1, 4000)]
@@ -161,6 +185,32 @@ def test_verify_low_precision_still_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-m", "2", "--digits", "30")
     assert code == 0
     assert all(r["pass"] for r in json.loads(out))
+
+
+def test_verify_prints_the_records_of_verify_all(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-m", "2", "--digits", "60")
+    assert code == 0
+    assert out == json.dumps([r.to_json_dict() for r in verify_all(2, 60)], indent=2) + "\n"
+
+
+def test_discover_prints_the_result_of_rediscover_triple(capsys):
+    code, out, _ = run_cli(capsys, "discover", "zeta", "5", "--digits", "120", "--format", "json")
+    result, _ = rediscover_triple("zeta", 5, 120)
+    assert code == 0
+    record = json.loads(out)["result"]
+    assert record["canonical_vector"] == list(result.vector)
+    assert record["iterations"] == result.iterations
+    assert record["residual"] == nstr(result.residual, 5)
+
+
+def test_cli_imports_no_private_name_of_identities_or_relations():
+    # the commands run the public API, so the API returns what they print
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").rsplit(".", 1)[-1] in ("identities", "relations")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private
 
 
 def test_verify_empty_range_is_usage_error(capsys):

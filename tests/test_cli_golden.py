@@ -40,6 +40,11 @@ COMMANDS = [
     "verify --max-m 1 --digits 60",
     "eval zeta 1",
     "discover pi 3 --digits 50",
+    "table --max-m 2 --format latex",
+    "table --max-m 1 --format json",
+    "verify --max-m 2 --digits 100",
+    "discover pi 9 --digits 300 --format json",
+    "discover zeta 11 --digits 300 --format json",
 ]
 _RESIDUAL = re.compile(r'("residual": )"[^"]*"')
 

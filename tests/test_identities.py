@@ -220,8 +220,8 @@ def test_exact_residuals_agree_with_mpmath(digits):
     assert len(reports) == len(checks) == 17 * 2 + 3 + 1
     for (identity, params, form), report in zip(checks, reports):
         reference = Fraction(*fixed.ratio(mpmath_residual(form, places, cache)))
-        assert abs(report.residual - reference) < Fraction(1, 10 ** (digits + GUARD)), (identity,
-                                                                                        params)
+        assert abs(report.residual.value - reference) < Fraction(1, 10 ** (digits + GUARD)), (
+            identity, params)
         assert report.passed
 
 

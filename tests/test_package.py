@@ -373,6 +373,20 @@ def test_a_process_pool_returns_library_values():
     assert pooled == [eval_pi_power(1, 30), eval_pi_power(3, 30)]
 
 
+def test_every_residual_is_a_precision_real():
+    # pslq's zero-entry, found and not-found exits, and every API record
+    results = [pslq([0, 1], 10), pslq([1, 2], 30),
+               pslq([Fraction(314159265358979323846, 10 ** 20),
+                     Fraction(271828182845904523536, 10 ** 20)], 15, 10),
+               rediscover_triple("zeta", 3, 30)[0], *verify_all(1, 20),
+               ramanujan_residual((Fraction(1), 1), 1, 20), symmetric_point_residual(1, 20),
+               zeta_4m1_residual(1, 20), vepstas_residual(1, 20), ts_identity_residual(3, 1, 20),
+               triple_residual("zeta", 3, 20)]
+    assert [r.stop for r in results[:3]] == ["found", "found", "norm bound"]
+    assert all(type(r.residual) is PrecisionReal for r in results)
+    assert {r.residual.digits for r in results[3:]} == {20, 30}
+
+
 # Each public entry point that takes digits, with its other arguments.
 ENTRY_POINTS = [
     (pslq, ([1, 2],)),

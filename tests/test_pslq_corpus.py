@@ -77,23 +77,22 @@ def run_case(case):
 
 
 def run_discover(target, exponent):
-    """Outcome of the PSLQ search inside `rediscover_triple`, which runs the
-    core `_pslq` on its rounded inputs."""
+    """Outcome of the `pslq` search inside `rediscover_triple`."""
     results = []
-    real = relations._pslq
+    real = relations.pslq
 
     def recording(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    relations._pslq = recording
+    relations.pslq = recording
     try:
         rediscover_triple(target, exponent, DISCOVER_DIGITS)
     except RelationNotFoundError:
         pass
     finally:
-        relations._pslq = real
-    return outcome(relations._public(results[0], DISCOVER_DIGITS))
+        relations.pslq = real
+    return outcome(results[0])
 
 
 def test_corpus_replays():
