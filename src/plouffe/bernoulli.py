@@ -224,16 +224,17 @@ def _validate_exponent(target, exponent):
 
 
 def _zeta_identity(exponent):
-    """(scale, shift) with zeta(e) = scale pi^e + shift . (S(1), S(2), S(4)):
-    zeta(e) = -2 S(2) - 4^n F_n pi^e for e = 4m-1 and n = 2m-1, and
-    zeta(e) = (2 S(4) - 2 16^m S(1) - 16^m G_2m pi^e) / (16^m - 1) for e = 4m+1."""
+    """(z, c, rate, weights, p) with z zeta(e) + c sum_s w_s S_e(s rate) + p pi^e = 0,
+    the form `verify` checks for zeta(e): zeta(e)/2 + S(2) + (4^n/2) F_n pi^e = 0 at
+    the symmetric point for e = 2n+1 = 4m-1, and zeta(e) = (2 S(4) - 2 16^m S(1)
+    - 16^m G_2m pi^e) / (16^m - 1), the zeta(4m+1) evaluation, for e = 4m+1."""
     if exponent % 4 == 3:
         n = (exponent - 1) // 2
-        return -Fraction(4) ** n * f_sum(n), (0, -2, 0)
+        return Fraction(1, 2), 1, 2, ((1, 1),), Fraction(4 ** n, 2) * f_sum(n)
     m = (exponent - 1) // 4
-    sixteen = Fraction(16) ** m
-    shift = (-2 * sixteen / (sixteen - 1), 0, 2 / (sixteen - 1))
-    return -sixteen * g_sum(2 * m) / (sixteen - 1), shift
+    sixteen = 16 ** m
+    return (1, Fraction(-1, sixteen - 1), 1, ((1, -2 * sixteen), (4, 2)),
+            Fraction(sixteen, sixteen - 1) * g_sum(2 * m))
 
 
 def triple_for(target, exponent):
@@ -241,9 +242,8 @@ def triple_for(target, exponent):
 
     The pi triple is the paper's closed form for the exponent's class mod 4
     (D_m for 4m-1; K_m and E_m for 4m+1; the classical (72, -96, 24) at 1).
-    A zeta triple is its pi triple put through the identity `verify` checks
-    for zeta(e) (`_zeta_identity`): the symmetric point alpha = beta = pi for
-    4m-1, the zeta(4m+1) evaluation (alpha = 2 pi, beta = pi/2) for 4m+1.
+    A zeta triple is its pi triple put through `_zeta_identity`, the identity
+    `verify` checks for zeta(e), solved for zeta(e).
     """
     target = Target(target)
     _validate_exponent(target, exponent)
@@ -260,8 +260,10 @@ def triple_for(target, exponent):
         sixteen = Fraction(16) ** m
         triple = (-sixteen / em, 2 * km * (2 * sixteen - (-4) ** m + 1) / em, (1 - 4 * km) / em)
     if target is Target.ZETA_VALUE:
-        scale, shift = _zeta_identity(exponent)
-        triple = (scale * x + s for x, s in zip(triple, shift))
+        z, c, rate, weights, p = _zeta_identity(exponent)
+        shift = {s * rate: c * w for s, w in weights}
+        pi = CoefficientTriple(Target.PI_POWER, exponent, *triple)
+        triple = (-(p * x + shift.get(r, 0)) / z for r, x in pi.weights())
 
     return CoefficientTriple(target, exponent, *triple)
 

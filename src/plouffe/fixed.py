@@ -109,6 +109,8 @@ def truncation_index(n, rate, target_digits, weight=1):
     rate = Fraction(*ratio(rate))
     if rate <= 0:
         raise ValueError("rate must be positive")
+    if weight <= 0:
+        raise ValueError(f"weight {weight} must be positive")
     terms = Fraction(target_digits * math.log(10) / math.pi) / rate  # at most N + 2
     if terms <= MAX_TERMS:
         rate = float(min(rate, 2 ** 64))

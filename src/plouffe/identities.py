@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bernoulli import Target, bernoulli, f_sum, g_sum, h_sum, triple_for
+from .bernoulli import Target, _zeta_identity, bernoulli, g_sum, h_sum, triple_for
 from .fixed import GUARD, nstr, places, ratio
 from .precision import PrecisionReal
 from .series import _rho_j, series_term, term_values
@@ -96,7 +96,7 @@ def _bernoulli_pair_term(n, k):
 
 def _ramanujan(alpha, n):
     """The check at alpha = rho pi^j, given as a plain tuple (rho, j), or at an exact alpha."""
-    rho, j = alpha if type(alpha) is tuple else (Fraction(*ratio(alpha)), 0)
+    rho, j = _rho_j(alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
     if rho <= 0:
@@ -128,13 +128,16 @@ def ramanujan_residual(alpha, n, digits):
     return _run([_ramanujan(alpha, n)], digits)[0]
 
 
+def _zeta_form(e):
+    """The (coefficient, term) pairs of `_zeta_identity(e)`."""
+    z, c, rate, weights, p = _zeta_identity(e)
+    return [(z, ("zeta", e)), (c, series_term(e, rate, weights=weights)), (p, ("pi", e))]
+
+
 def _symmetric_point(n):
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1 (even n degenerates to 0 = 0)")
-    e = 2 * n + 1
-    return "symmetric_point", {"n": n}, [
-        (Fraction(1, 2), ("zeta", e)), (1, series_term(e, 2)),
-        (Fraction(4 ** n, 2) * f_sum(n), ("pi", e))]
+    return "symmetric_point", {"n": n}, _zeta_form(2 * n + 1)
 
 
 def symmetric_point_residual(n, digits):
@@ -151,11 +154,7 @@ def symmetric_point_residual(n, digits):
 def _zeta_4m1(m):
     if m < 1:
         raise ValueError("m must be >= 1 (the denominator 16^m - 1 vanishes at m = 0)")
-    e, sixteen = 4 * m + 1, 16 ** m
-    return "zeta_4m1", {"m": m}, [
-        (1, ("zeta", e)),
-        (Fraction(-1, sixteen - 1), series_term(e, 1, weights=((1, -2 * sixteen), (4, 2)))),
-        (Fraction(sixteen, sixteen - 1) * g_sum(2 * m), ("pi", e))]
+    return "zeta_4m1", {"m": m}, _zeta_form(4 * m + 1)
 
 
 def zeta_4m1_residual(m, digits):

@@ -10,7 +10,7 @@ inverse, y = x B and each candidate's residual are then exact Python
 integers, so a detected relation and its residual are exact.  H is the one
 floating-point matrix, a `decimal` one: it runs at the precision its
 decisions need and is rebuilt exactly from the integer state as that grows
-(see `_pslq`).  While running, 1/max|H_jj| is a lower bound on the
+(see `pslq`).  While running, 1/max|H_jj| is a lower bound on the
 Euclidean norm of any relation, which is what a found = False result
 reports as the exclusion bound.  A candidate is a relation only at the
 precision its size needs (`min_digits_for`); each result says why it
@@ -104,7 +104,11 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
 
     Returns a RelationResult: a canonical-form relation when one is found
     within the coefficient bound, otherwise found = False together with a
-    lower bound on the norm of any relation that could still exist.
+    lower bound on the norm of any relation that could still exist; its
+    residual is exact, a PrecisionReal of `digits`.  The values (mpf, int,
+    float, Fraction or PrecisionReal) are taken exactly and rounded once by
+    `_rounded` to integers X over one power of two, x_i = X_i 2**e.
+
     Termination, named by the result's `stop`: once min |y_i| <
     10**-(digits-10) (tested before every iteration, since the initial
     reduction can already expose a relation), the candidate v is "found" if
@@ -115,22 +119,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     below 10**-(digits-15) max|x_i| for every n < 10**10.
     The search also ends when the norm bound passes the coefficient bound
     (any int), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
-
-    The values (mpf, int, float, Fraction or PrecisionReal) are taken exactly
-    and rounded once to digits + GUARD places by `_rounded`; `_pslq` searches,
-    with H in `decimal` at the digits its decisions need.
-    """
-    if len(values) < 2:
-        raise ValueError("pslq needs at least 2 values")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    X, e = _rounded([ratio(v) for v in values], digits)
-    return _pslq(X, e, digits, max_coeff_bound)
-
-
-def _pslq(X, e, digits, max_coeff_bound):
-    """`pslq` of x_i = X_i 2**e, inputs already rounded by `_rounded`; the
-    result's residual is exact, a PrecisionReal of `digits`.
 
     Exact integer state plus one H.  B and its exact inverse A are integers,
     and y = X B / |X| is not carried: the termination test and a
@@ -165,6 +153,11 @@ def _pslq(X, e, digits, max_coeff_bound):
     p, H runs at the precision the inputs were rounded to, and the rebuilds
     still clear its error every 8 bits of growth.
     """
+    if len(values) < 2:
+        raise ValueError("pslq needs at least 2 values")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    X, e = _rounded([ratio(v) for v in values], digits)
     n = len(X)
     if not any(X):
         raise ValueError("pslq input is the zero vector")

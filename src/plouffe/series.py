@@ -56,8 +56,10 @@ def series_term(n, rate, plus_one=False, weights=((1, 1),)):
 
 
 def _rho_j(x):
-    """A coefficient or rate as (rho, j), rho a Fraction, for rho pi^j."""
+    """A coefficient, rate or alpha as (rho, j), rho a Fraction and j an int, for rho pi^j."""
     rho, j = x if type(x) is tuple else (x, 0)  # a named tuple, as a PrecisionReal, is a rho
+    if not isinstance(j, int):
+        raise ValueError(f"the power of pi in rho pi^j must be an integer, not {j!r}")
     return Fraction(*ratio(rho)), j
 
 

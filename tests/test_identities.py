@@ -64,6 +64,16 @@ def test_ramanujan_residual_shrinks_with_precision():
         fine.residual.mpf < threshold and coarse.residual.mpf < threshold)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [(1, 1), (3, 1), (2, 0), (5, 1), (1.5, 1)])
+def test_ramanujan_reads_a_rho_pi_j_alpha_exactly(alpha, n):
+    # an int or float rho is taken as its exact rational, as series._rho_j
+    # reads every rate and coefficient, so the check holds to its digits
+    report = ramanujan_residual(alpha, n, 40)
+    assert report.passed
+    assert report.residual.value < Fraction(1, 10 ** 60)
+
+
 def test_ramanujan_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         ramanujan_residual(-2.0, 1, 50)

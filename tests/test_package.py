@@ -241,6 +241,23 @@ def test_the_kernel_and_the_oracles_are_reached_only_through_term_values():
                 assert "plouffe.oracles" not in {alias.name for alias in node.names}, module
 
 
+def test_each_zeta_identity_and_the_rho_pi_j_reader_are_stated_once():
+    # triple_for and the verify forms read one statement of each zeta
+    # identity, and every (rho, j) pair, alpha included, is read by _rho_j
+    source = pathlib.Path(plouffe.__file__).resolve().parent
+    in_bernoulli, in_identities = (names_used(source / f"{module}.py")
+                                   for module in ("bernoulli", "identities"))
+    assert "bernoulli.triple_for" in in_bernoulli["_zeta_identity"]
+    assert any(owner.startswith("identities.") for owner in in_identities["_zeta_identity"])
+    assert "f_sum" not in in_identities
+    imported = {alias.name for node in ast.walk(ast.parse((source / "identities.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "f_sum" not in imported
+    assert "identities._ramanujan" in in_identities["_rho_j"]
+    assert "identities._ramanujan" not in in_identities.get("ratio", ())
+    assert "_pslq" not in names_used(source / "relations.py")
+
+
 # In a fresh interpreter, where no name has been resolved yet.
 LAZY_API = """
 import sys
@@ -426,3 +443,24 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
         monkeypatch.setattr(series, name, computed)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)
+
+
+@pytest.mark.parametrize("function, args", [
+    (ramanujan_residual, ((1, 1.5), 1, 10)),
+    (identities._run, ([("c", {}, [((1, 0.5), ("zeta", 3))])], 10)),
+    (identities._run, ([("r", {}, [(1, series.series_term(3, (1, 1.5)))])], 10)),
+    (series.term_values, ([series.series_term(3, (2, 1.0))], 10)),
+])
+def test_a_non_integer_power_of_pi_is_refused_before_computing(monkeypatch, function, args):
+    def computed(*_):
+        raise AssertionError("computed before rejecting the power of pi")
+
+    # the kernel, the kernel's pi and the oracles, wherever they are bound
+    for module in (fixed, series):
+        monkeypatch.setattr(module, "q_sums", computed)
+        monkeypatch.setattr(module, "pi_fixed", computed)
+    for name in ("pi_power", "zeta_fixed"):
+        monkeypatch.setattr(series, name, computed)
+    with pytest.raises(ValueError, match=r"^the power of pi in rho pi\^j must be an integer, "
+                                         r"not (1\.5|0\.5|1\.0)$"):
+        function(*args)

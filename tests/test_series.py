@@ -390,6 +390,12 @@ def test_rates_are_checked_exactly():
         assert s_series(SeriesSpec(3, rate, 10)) == half
 
 
+@pytest.mark.parametrize("weight", [0, -1, Fraction(-1, 2)])
+def test_truncation_index_names_a_weight_below_one(weight):
+    with pytest.raises(ValueError, match=rf"^weight {weight} must be positive$"):
+        truncation_index(1, 1, 10, weight)
+
+
 @pytest.mark.parametrize("rate, estimate", [(Fraction(1, 10 ** 400), "2.27e+401"),
                                             (Fraction(1, 10 ** 6), "2.27e+7")])
 def test_a_rate_past_the_term_limit_is_refused_before_any_kernel_work(monkeypatch, rate,
