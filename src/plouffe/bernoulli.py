@@ -16,16 +16,19 @@ numbers" (arXiv:1108.0286), so no gcd is taken until each B_2k is formed.
 The memo holds a dense prefix B_0..B_N and grows in place: the recurrence
 runs column by column and keeps its last column, so a miss appends only the
 entries past the memo's end and each T_k is computed once per process.  The
-coefficient sums F, G and H are each computed once per process.
+coefficient sums F, G and H are each computed once per process, from one
+table of pair products per top (`_pairs`), which Ramanujan's formula reads too.
+Every index and exponent is an integer; anything else is a ValueError.
 """
 
+import operator
 import threading
 from collections import namedtuple
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial, isqrt, lcm
+from functools import lru_cache
+from math import factorial, isqrt, lcm
 
 
 class Target(Enum):
@@ -58,6 +61,16 @@ def _tangent_column():
     _column.append(2 * previous or 1)  # t(j, j) = 2 t(j-1, j); T_1 = 1 starts it
 
 
+def _index(value, name, low=None, note=""):
+    """value as an int, at least `low` if given, else a ValueError that names it;
+    a bool, or anything `operator.index` refuses, is no integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer")
+    if low is not None and operator.index(value) < low:
+        raise ValueError(f"{name} must be >= {low}{note}")
+    return operator.index(value)
+
+
 def bernoulli(k):
     """Exact k-th Bernoulli number (B_0 = 1, B_1 = -1/2), memoized.
 
@@ -65,8 +78,7 @@ def bernoulli(k):
     n = 2j, B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), with the tangent
     recurrence run on to column j from the column this process last reached.
     """
-    if k < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    k = _index(k, "Bernoulli index", 0)
     memo = _memo
     if k < len(memo):
         return memo[k]
@@ -126,51 +138,55 @@ def memo_preload(values):
     return True
 
 
-# Each sum below is taken over binomial weights C(top, i) = top! / (i! (top-i)!)
-# and divided by top! once, which keeps the factorials out of every partial sum.
-
-def _pair_sum(top, step, ratio):
-    """sum_k ratio^k C(top, step k) B_(step k) B_(top - step k) / top!, over step k <= top.
-
-    Summed in integers: each B_j becomes the integer L B_j with
-    L = lcm(den B_0..B_top), and one Fraction over L^2 top! is reduced at the end.
-    """
-    values = [bernoulli(j) for j in range(top + 1)]
+@lru_cache(maxsize=2)
+def _pairs(top):
+    """The pair products B_i B_(top-i) / (i! (top-i)!), i = 0..top, as the integers
+    C(top, i) L B_i L B_(top-i), by a running binomial, over one denominator
+    L^2 top!, L = lcm(den B_0..B_top).  The last two tops are kept, for the sums
+    that share one (F and G of 4m-1, G and H of 4m+1, the alphas of one n)."""
+    bernoulli(top)
+    values = _memo[:top + 1]
     common = lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (common // v.denominator) for v in values]
-    total = sum(ratio ** k * comb(top, step * k) * scaled[step * k] * scaled[top - step * k]
-                for k in range(top // step + 1))
-    return Fraction(total, common * common * factorial(top))
+    products, binomial = [], 1
+    for i in range(top + 1):
+        products.append(binomial * scaled[i] * scaled[top - i])
+        binomial = binomial * (top - i) // (i + 1)
+    return tuple(products), common * common * factorial(top)
 
 
-@cache
+def _pair_sum(top, step, ratio):
+    """sum_k ratio^k B_(step k) B_(top - step k) / ((step k)! (top - step k)!), over
+    step k <= top, summed in integers over `_pairs`' denominator and reduced once."""
+    products, denominator = _pairs(top)
+    return Fraction(sum(ratio ** k * p for k, p in enumerate(products[::step])), denominator)
+
+
+# typed, so that 2.0 or True is not served the cached value of 2 or 1
+@lru_cache(maxsize=None, typed=True)
 def f_sum(n):
     """F_n, the alternating double-Bernoulli sum over index pairs (2k, 2n+2-2k)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _index(n, "n", 0)
     return _pair_sum(2 * n + 2, 2, -1)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def g_sum(n):
     """G_n, the (-4)^k-weighted double-Bernoulli sum."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _index(n, "n", 0)
     return _pair_sum(2 * n + 2, 2, -4)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def h_sum(m):
     """H_m, the (-4)^(m+k)-weighted sum over index pairs (4k, 4m+2-4k)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _index(m, "m", 0)
     return (-4) ** m * _pair_sum(4 * m + 2, 4, -4)
 
 
 def d_coeff(m):
     """D_m = 4^(2m-1) [ (4^(2m-1)+1) F_(2m-1) - G_(2m-1) ] / 2, checked nonzero."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _index(m, "m", 1)
     p = Fraction(4) ** (2 * m - 1)
     d = p * ((p + 1) * f_sum(2 * m - 1) - g_sum(2 * m - 1)) / 2
     if d == 0:
@@ -180,15 +196,13 @@ def d_coeff(m):
 
 def k_coeff(m):
     """K_m = (1/2)(1 - 4^(2m)) / (1 + (-4)^m - 2^(4m+1)); indeterminate at m = 0."""
-    if m < 1:
-        raise ValueError("m must be >= 1 (K_0 is an indeterminate 0/0)")
+    m = _index(m, "m", 1, " (K_0 is an indeterminate 0/0)")
     return Fraction(1, 2) * (1 - Fraction(4) ** (2 * m)) / (1 + Fraction(-4) ** m - Fraction(2) ** (4 * m + 1))
 
 
 def e_coeff(m):
     """E_m = (4^(2m)/2) G_(2m) - 2^(4m+1) K_m H_m - 2^(4m) K_m G_(2m), checked nonzero."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _index(m, "m", 1)
     km = k_coeff(m)
     g2m = g_sum(2 * m)
     e = Fraction(4) ** (2 * m) / 2 * g2m - Fraction(2) ** (4 * m + 1) * km * h_sum(m) \
@@ -210,17 +224,6 @@ class CoefficientTriple(namedtuple("CoefficientTriple", "target exponent a b c")
     def weights(self):
         """((rate, coefficient), ...) for the three series S_n(rate)."""
         return ((1, self.a), (2, self.b), (4, self.c))
-
-
-def _validate_exponent(target, exponent):
-    if not isinstance(exponent, int):
-        raise ValueError("exponent must be an integer")
-    if exponent % 2 == 0:
-        raise ValueError(f"exponent {exponent} is even; only odd exponents have a triple")
-    if exponent < 1:
-        raise ValueError("exponent must be positive")
-    if target is Target.ZETA_VALUE and exponent < 3:
-        raise ValueError("zeta(1) diverges; zeta targets need exponent >= 3")
 
 
 def _zeta_identity(exponent):
@@ -245,8 +248,13 @@ def triple_for(target, exponent):
     A zeta triple is its pi triple put through `_zeta_identity`, the identity
     `verify` checks for zeta(e), solved for zeta(e).
     """
-    target = Target(target)
-    _validate_exponent(target, exponent)
+    target, exponent = Target(target), _index(exponent, "exponent")
+    if exponent % 2 == 0:
+        raise ValueError(f"exponent {exponent} is even; only odd exponents have a triple")
+    if exponent < 1:
+        raise ValueError("exponent must be positive")
+    if target is Target.ZETA_VALUE and exponent < 3:
+        raise ValueError("zeta(1) diverges; zeta targets need exponent >= 3")
 
     if exponent == 1:
         triple = (Fraction(72), Fraction(-96), Fraction(24))

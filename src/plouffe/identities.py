@@ -26,8 +26,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bernoulli import Target, _zeta_identity, bernoulli, g_sum, h_sum, triple_for
-from .fixed import GUARD, nstr, places, ratio
+from .bernoulli import Target, _index, _pairs, _zeta_identity, g_sum, h_sum, triple_for
+from .fixed import GUARD, nstr, places
 from .precision import PrecisionReal
 from .series import _rho_j, series_term, term_values
 
@@ -88,17 +88,10 @@ def _run(checks, digits):
     return reports
 
 
-def _bernoulli_pair_term(n, k):
-    """B_(2k) B_(2n+2-2k) / ((2k)! (2n+2-2k)!) as an exact Fraction."""
-    return bernoulli(2 * k) * bernoulli(2 * n + 2 - 2 * k) \
-        / (math.factorial(2 * k) * math.factorial(2 * n + 2 - 2 * k))
-
-
 def _ramanujan(alpha, n):
     """The check at alpha = rho pi^j, given as a plain tuple (rho, j), or at an exact alpha."""
     rho, j = _rho_j(alpha)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _index(n, "n", 1)
     if rho <= 0:
         raise ValueError("alpha must be positive")
     e = 2 * n + 1
@@ -107,11 +100,10 @@ def _ramanujan(alpha, n):
     form = [((a[0] / 2, a[1]), ("zeta", e)), ((-b[0] / 2, b[1]), ("zeta", e)),
             (a, series_term(e, (2 * rho, j - 1))),
             ((-b[0], b[1]), series_term(e, (2 / rho, 1 - j)))]
-    for k in range(n + 2):
-        coeff = _bernoulli_pair_term(n, k)
-        if coeff:  # 4^n (-1)^k [pair] alpha^(n+1-k) beta^k
-            form.append((4 ** n * (-1) ** k * coeff * rho ** (n + 1 - 2 * k),
-                         ("pi", j * (n + 1 - k) + (2 - j) * k)))
+    products, denominator = _pairs(2 * n + 2)
+    for k in range(n + 2):  # 4^n (-1)^k [pair] alpha^(n+1-k) beta^k, each pair nonzero
+        form.append((Fraction(4 ** n * (-1) ** k * products[2 * k], denominator)
+                     * rho ** (n + 1 - 2 * k), ("pi", j * (n + 1 - k) + (2 - j) * k)))
     return "ramanujan", {"alpha": nstr(rho * Fraction(math.pi) ** j, 10), "n": n}, form
 
 
@@ -135,6 +127,7 @@ def _zeta_form(e):
 
 
 def _symmetric_point(n):
+    n = _index(n, "n")
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1 (even n degenerates to 0 = 0)")
     return "symmetric_point", {"n": n}, _zeta_form(2 * n + 1)
@@ -152,8 +145,7 @@ def symmetric_point_residual(n, digits):
 
 
 def _zeta_4m1(m):
-    if m < 1:
-        raise ValueError("m must be >= 1 (the denominator 16^m - 1 vanishes at m = 0)")
+    m = _index(m, "m", 1, " (the denominator 16^m - 1 vanishes at m = 0)")
     return "zeta_4m1", {"m": m}, _zeta_form(4 * m + 1)
 
 
@@ -168,8 +160,7 @@ def zeta_4m1_residual(m, digits):
 
 
 def _vepstas(m):
-    if m < 1:
-        raise ValueError("m must be >= 1 (the identity is stated for m >= 1)")
+    m = _index(m, "m", 1, " (the identity is stated for m >= 1)")
     e = 4 * m + 1
     return "vepstas", {"m": m}, [
         (1 + (-4) ** m - 2 ** e, ("zeta", e)), (-2, series_term(e, 2, plus_one=True)),
@@ -190,10 +181,9 @@ def vepstas_residual(m, digits):
 
 
 def _ts_identity(n, rate):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = Fraction(*ratio(rate))
-    if x <= 0:
+    n = _index(n, "n", 1)
+    x = _rho_j(rate)
+    if x[0] <= 0:
         raise ValueError("rate must be positive")
     return "ts_identity", {"n": n, "rate": str(rate)}, [
         (1, series_term(n, x, plus_one=True)), (-1, series_term(n, x, weights=((1, 1), (2, -2))))]
@@ -219,8 +209,7 @@ def triple_residual(target, exponent, digits):
 
 def _verify_checks(max_m):
     """The (identity, parameters, form) checks of `verify_all`."""
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
+    max_m = _index(max_m, "max_m", 1)
     ms, exponents = range(1, max_m + 1), range(1, 4 * max_m + 2, 2)
     alphas = ((Fraction(1), 1), (Fraction(1, 2), 1), (Fraction(2), 1))  # pi, pi/2, 2 pi
     checks = [_ramanujan(alpha, n) for n in range(1, 2 * max_m + 1) for alpha in alphas]

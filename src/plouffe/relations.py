@@ -50,6 +50,8 @@ def _canonical(vector):
 def min_digits_for(n_values, max_coeff_bound):
     """pslq's acceptance rule: a relation among n values with coefficients up
     to the bound needs D >= n * log10(bound) + 15 (Ferguson, Bailey & Arno 1999)."""
+    if max_coeff_bound < 1:
+        raise ValueError("max_coeff_bound must be >= 1")
     return math.ceil(n_values * math.log10(max_coeff_bound)) + 15
 
 

@@ -29,15 +29,15 @@ from .precision import GUARD, PrecisionReal
 
 
 class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
-    """Evaluation request: exponent n >= 1, rate r > 0 (int, Fraction, float
-    or mpf, its sign checked exactly), decimal digits D."""
+    """Evaluation request: exponent n >= 1, rate r > 0 (int, Fraction, float,
+    mpf or a pair (rho, j) for rho pi^j, its sign checked exactly), decimal digits D."""
 
     __slots__ = ()
 
     def __new__(cls, n, r, digits):
         if not isinstance(n, int) or n < 1:
             raise ValueError("series exponent n must be an integer >= 1")
-        if Fraction(*ratio(r)) <= 0:
+        if _rho_j(r)[0] <= 0:
             raise ValueError("series rate r must be positive")
         if digits < 1:
             raise ValueError("digits must be >= 1")

@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plouffe import cli
 from plouffe.bernoulli import (
     Target,
+    _pairs,
     bernoulli,
     d_coeff,
     e_coeff,
@@ -262,6 +264,25 @@ def test_pair_sums_match_a_fraction_by_fraction_sum():
         assert g_sum(n) == reference(2 * n + 2, 2, -4), n
     for m in range(101):
         assert h_sum(m) == (-4) ** m * reference(4 * m + 2, 4, -4), m
+    # and each product of the one table they read is B_i B_(top-i) / (i! (top-i)!),
+    # compared crosswise in integers
+    for top in range(403):
+        products, denominator = _pairs(top)
+        assert len(products) == top + 1, top
+        for i, p in enumerate(products):
+            x, y = bernoulli(i), bernoulli(top - i)
+            assert p * math.factorial(i) * math.factorial(top - i) * x.denominator * y.denominator \
+                == x.numerator * y.numerator * denominator, (top, i)
+
+
+def test_the_pair_table_keeps_two_tops(capsys):
+    # F and G of 4m-1, G and H of 4m+1 share a top, so two are enough
+    for function in (f_sum, g_sum, h_sum, _pairs):
+        function.cache_clear()
+    assert cli.main(["table", "--max-m", "30"]) == 0
+    capsys.readouterr()
+    info = _pairs.cache_info()
+    assert info.currsize <= 2 and info.misses == 60, info
 
 
 def test_d_coeff_values():
@@ -335,6 +356,21 @@ def test_triple_for_errors():
         triple_for(Target.PI_POWER, 4)
     with pytest.raises(ValueError):
         triple_for(Target.PI_POWER, -3)
+
+
+@pytest.mark.parametrize("function, value, name", [
+    (bernoulli, 2.0, "Bernoulli index"), (bernoulli, True, "Bernoulli index"),
+    (f_sum, 1.5, "n"), (f_sum, 2.0, "n"), (g_sum, Fraction(2), "n"), (h_sum, 0.5, "m"),
+    (d_coeff, 1.5, "m"), (k_coeff, 2.0, "m"), (e_coeff, "1", "m"),
+    (lambda e: triple_for("pi", e), True, "exponent"),
+    (lambda e: triple_for("zeta", e), 3.0, "exponent"),
+])
+def test_the_exact_layer_takes_only_integers(function, value, name):
+    # a float, a Fraction or a bool never reaches an exact coefficient, nor a
+    # cached one: f_sum(2) is cached here before f_sum(2.0) is asked for
+    f_sum(2)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer$"):
+        function(value)
 
 
 def test_triples_are_fully_reduced():

@@ -74,6 +74,15 @@ def test_ramanujan_reads_a_rho_pi_j_alpha_exactly(alpha, n):
     assert report.residual.value < Fraction(1, 10 ** 60)
 
 
+@pytest.mark.parametrize("rate", [(1, 1), (2, 0), (Fraction(1, 2), 1), (3, -1)])
+def test_every_rate_is_read_as_rho_pi_j(rate):
+    # SeriesSpec and ts_identity read a rate with series._rho_j, as term_values does
+    assert series.s_series(series.SeriesSpec(3, rate, 30)) == series._value(
+        series.series_term(3, rate), 30)
+    for n in (1, 3):
+        assert ts_identity_residual(n, rate, 40).passed, n
+
+
 def test_ramanujan_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         ramanujan_residual(-2.0, 1, 50)

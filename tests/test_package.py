@@ -40,7 +40,7 @@ from plouffe.identities import (ResidualReport, ramanujan_residual, symmetric_po
                                 triple_residual, ts_identity_residual, vepstas_residual,
                                 verify_all, zeta_4m1_residual)
 from plouffe.precision import PrecisionReal
-from plouffe.relations import RelationResult, pslq, rediscover_triple
+from plouffe.relations import RelationResult, min_digits_for, pslq, rediscover_triple
 from plouffe.series import SeriesSpec, eval_pi_power, eval_zeta_odd, zeta_reference
 
 # Runs the commands (each one argv string) in one fresh interpreter and
@@ -258,6 +258,21 @@ def test_each_zeta_identity_and_the_rho_pi_j_reader_are_stated_once():
     assert "_pslq" not in names_used(source / "relations.py")
 
 
+def test_the_pair_products_and_every_rate_are_read_in_one_place():
+    # bernoulli._pairs is the one table of Bernoulli pair products, which the
+    # F/G/H sums and Ramanujan's formula read, and series._rho_j reads every rate
+    source = pathlib.Path(plouffe.__file__).resolve().parent
+    in_bernoulli, in_identities, in_series = (names_used(source / f"{module}.py")
+                                              for module in ("bernoulli", "identities", "series"))
+    assert "bernoulli._pair_sum" in in_bernoulli["_pairs"]
+    assert "identities._ramanujan" in in_identities["_pairs"]
+    for path in source.glob("*.py"):
+        assert not {"_bernoulli_pair_term", "comb"} & set(names_used(path)), path.name
+    for reader, used in (("series.__new__", in_series), ("identities._ts_identity", in_identities)):
+        assert reader in used["_rho_j"]
+        assert reader not in used.get("ratio", ())
+
+
 # In a fresh interpreter, where no name has been resolved yet.
 LAZY_API = """
 import sys
@@ -443,6 +458,25 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
         monkeypatch.setattr(series, name, computed)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (symmetric_point_residual, (1.0, 10), "n must be an integer"),
+    (zeta_4m1_residual, (1.5, 10), "m must be an integer"),
+    (vepstas_residual, (1.5, 10), "m must be an integer"),
+    (ramanujan_residual, (1, 1.5, 10), "n must be an integer"),
+    (ts_identity_residual, (True, 1, 10), "n must be an integer"),
+    (verify_all, (1.5, 10), "max_m must be an integer"),
+    (min_digits_for, (4, 0), "max_coeff_bound must be >= 1"),
+])
+def test_a_bad_number_is_named_before_computing(monkeypatch, function, args, message):
+    def computed(*_):
+        raise AssertionError("computed before rejecting the input")
+
+    for module in (series, relations, identities):
+        monkeypatch.setattr(module, "term_values", computed)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        function(*args)
 
 
 @pytest.mark.parametrize("function, args", [
