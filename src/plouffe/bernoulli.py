@@ -276,6 +276,13 @@ def triple_for(target, exponent):
     return CoefficientTriple(target, exponent, *triple)
 
 
+def _triples(max_m):
+    """The triple of pi^e for each odd e <= 4 max_m + 1, each followed by that
+    of zeta(e) from e = 3: the triples `table` prints and `verify` checks."""
+    return [triple_for(target, e) for e in range(1, 4 * max_m + 2, 2) for target in Target
+            if target is Target.PI_POWER or e >= 3]
+
+
 def format_rational(q):
     """Fully reduced "p/q" string, or a bare integer when q == 1; no int
     passes through str(), so Python's int/str digit limit never applies."""

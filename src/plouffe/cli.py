@@ -27,7 +27,8 @@ from fractions import Fraction
 # The other layers, json and tempfile are imported where they are used, so
 # that coeffs, table and bernoulli start without them.  No command imports
 # mpmath: every value and residual is an exact integer or rational.
-from .bernoulli import Target, bernoulli, format_rational, memo_preload, memo_snapshot, triple_for
+from .bernoulli import (Target, _triples, bernoulli, format_rational, memo_preload, memo_snapshot,
+                        triple_for)
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
 
@@ -181,8 +182,7 @@ def _cmd_discover(args):
 
 
 def _cmd_table(args):
-    triples = [triple_for(target, e) for e in range(1, 4 * args.max_m + 2, 2) for target in Target
-               if target is Target.PI_POWER or e >= 3]
+    triples = _triples(args.max_m)
     _emit(args, {"max_m": args.max_m}, {
         "json": lambda: [_triple_json(t) for t in triples],
         "plain": lambda: [_triple_row(t, " ") for t in triples],

@@ -127,7 +127,7 @@ def truncation_index(n, rate, target_digits, weight=1):
                      f"past the limit of MAX_TERMS = {MAX_TERMS}")
 
 
-def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
+def q_sums(n, r, target_digits, outputs, plus_one=False):
     """sum_s w_s S_n(s r) (T_n with plus_one) for each weights ((s, w_s), ...)
     of `outputs`, in one pass, for a rational r > 0, nonzero rational w_s and
     integers s >= 1, as ([m, ...], prec): each value is m 2^-prec, with
@@ -175,7 +175,7 @@ def q_sums(n, r, target_digits, outputs, plus_one=False, extra_terms=0):
         weights = [(s, Fraction(w)) for s, w in weights]
         scale = math.lcm(*(w.denominator for _, w in weights))
         weight = math.ceil(sum(abs(w) for _, w in weights))  # an int: past the float range for pi^n, n >= 619
-        plans.append((truncation_index(n, r, target_digits + 1, weight) + extra_terms, weight, scale,
+        plans.append((truncation_index(n, r, target_digits + 1, weight), weight, scale,
                       [(s, int(w * scale) * s ** n) for s, w in weights]))
     terms = max(plan[0] for plan in plans)
     k, rate = math.isqrt(terms), float(min(r, 2 ** 64))  # a smaller rate only makes prec and cuts safer

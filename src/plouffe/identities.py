@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bernoulli import Target, _index, _pairs, _zeta_identity, g_sum, h_sum, triple_for
+from .bernoulli import _index, _pairs, _triples, _zeta_identity, g_sum, h_sum, triple_for
 from .fixed import GUARD, nstr, places
 from .precision import PrecisionReal
 from .series import _rho_j, series_term, term_values
@@ -59,8 +59,7 @@ def _run(checks, digits):
     each pi^j by 10**-(accuracy + 1).  A report passes when the exact
     |residual| is below 10**-digits; it holds |residual| cut to 2**-(P + 64).
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    digits = _index(digits, "digits", 1)
     forms = [[(*_rho_j(c), term) for c, term in form] for _, _, form in checks]
     accuracy = max(places(digits + GUARD, len(form) * max(
         abs(rho) * Fraction(4 if j > 0 else 3) ** j for rho, j, _ in form)) for form in forms)
@@ -194,17 +193,16 @@ def ts_identity_residual(n, rate, digits):
     return _run([_ts_identity(n, rate)], digits)[0]
 
 
-def _triple(target, exponent):
-    triple = triple_for(target, exponent)
-    return "triple", {"target": triple.target.value, "exponent": exponent}, [
-        (1, series_term(exponent, 1, weights=triple.weights())),
-        (-1, (triple.target.value, exponent))]
+def _triple(triple):
+    e = triple.exponent
+    return "triple", {"target": triple.target.value, "exponent": e}, [
+        (1, series_term(e, 1, weights=triple.weights())), (-1, (triple.target.value, e))]
 
 
 def triple_residual(target, exponent, digits):
     """Residual of a*S(1) + b*S(2) + c*S(4) against an independent oracle
     (pi**exponent, or the alternating-eta zeta value)."""
-    return _run([_triple(target, exponent)], digits)[0]
+    return _run([_triple(triple_for(target, exponent))], digits)[0]
 
 
 def _verify_checks(max_m):
@@ -216,8 +214,7 @@ def _verify_checks(max_m):
     checks += [_symmetric_point(2 * m - 1) for m in ms]
     checks += [_zeta_4m1(m) for m in ms] + [_vepstas(m) for m in ms]
     checks += [_ts_identity(e, rate) for e in exponents for rate in (1, 2)]
-    checks += [_triple(target, e) for e in exponents for target in Target
-               if target is Target.PI_POWER or e >= 3]
+    checks += [_triple(triple) for triple in _triples(max_m)]
     return checks
 
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 # public here too
-from .bernoulli import format_rational  # noqa: F401
+from .bernoulli import _index, format_rational  # noqa: F401
 from .fixed import GUARD, agreement_digits, decimal_string, ratio  # noqa: F401
 
 
@@ -23,8 +23,7 @@ class PrecisionReal(namedtuple("PrecisionReal", "value digits")):
     __slots__ = ()
 
     def __new__(cls, value, digits):
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
+        digits = _index(digits, "digits", 1)
         if not isinstance(value, Fraction):
             value = Fraction(*ratio(value))
         if value.denominator & (value.denominator - 1):

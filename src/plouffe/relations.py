@@ -22,7 +22,7 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .bernoulli import Target, triple_for
+from .bernoulli import Target, _index, triple_for
 from .fixed import GUARD, places, ratio
 from .precision import PrecisionReal
 from .series import series_term, term_values
@@ -157,8 +157,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     """
     if len(values) < 2:
         raise ValueError("pslq needs at least 2 values")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    digits = _index(digits, "digits", 1)
     X, e = _rounded([ratio(v) for v in values], digits)
     n = len(X)
     if not any(X):
@@ -273,8 +272,7 @@ def rediscover_triple(target, exponent, digits):
     All four values come from `series.term_values`, in integers: the S
     values from one kernel pass, and the target from its independent oracle.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    digits = _index(digits, "digits", 1)
     target = Target(target)
     expected = triple_for(target, exponent)  # validates target/exponent
 

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bernoulli import Target, triple_for
+from .bernoulli import Target, _index, triple_for
 from .fixed import pi_fixed, q_sums, ratio, truncation_index  # noqa: F401  (public here too)
 from .oracles import apery_fixed, pi_power, zeta_fixed
 from .precision import GUARD, PrecisionReal
@@ -35,13 +35,12 @@ class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
     __slots__ = ()
 
     def __new__(cls, n, r, digits):
-        if not isinstance(n, int) or n < 1:
+        n = _index(n, "series exponent n")
+        if n < 1:
             raise ValueError("series exponent n must be an integer >= 1")
         if _rho_j(r)[0] <= 0:
             raise ValueError("series rate r must be positive")
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        return super().__new__(cls, n, r, digits)
+        return super().__new__(cls, n, r, _index(digits, "digits", 1))
 
     @classmethod
     def _make(cls, iterable):
@@ -93,17 +92,16 @@ def term_values(terms, accuracy):
 
 def _value(term, digits):
     """The term's value as a PrecisionReal of `digits`, computed within 10**-(digits + GUARD)."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    digits = _index(digits, "digits", 1)
     ((m, prec),) = term_values([term], digits + GUARD).values()
     return PrecisionReal(Fraction(m, 1 << prec), digits)
 
 
-def _s_raw(n, r, target_digits, plus_one=False, extra_terms=0, weights=((1, 1),)):
+def _s_raw(n, r, target_digits, plus_one=False, weights=((1, 1),)):
     """sum_s w_s S_n(s r) (T_n with plus_one) as an exact dyadic Fraction with
     absolute error below 10**-target_digits: `fixed.q_sums` of one output at
     the exact rational of r, an int, Fraction, float or mpf."""
-    (m,), prec = q_sums(n, Fraction(*ratio(r)), target_digits, [weights], plus_one, extra_terms)
+    (m,), prec = q_sums(n, Fraction(*ratio(r)), target_digits, [weights], plus_one)
     return Fraction(m, 1 << prec)
 
 
@@ -126,8 +124,7 @@ def eval_zeta_odd(exponent, digits):
 
 def apery_zeta3(digits):
     """zeta(3) through the accelerated series, to the precision contract."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    digits = _index(digits, "digits", 1)
     m, prec = apery_fixed(digits + GUARD)
     return PrecisionReal(Fraction(m, 1 << prec), digits)
 

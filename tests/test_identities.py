@@ -256,7 +256,8 @@ def test_every_coefficient_of_every_identity_matters():
     checks = [identities._ramanujan((Fraction(1), 1), 2), identities._ramanujan(1.3, 3),
               identities._ramanujan((Fraction(2), 1), 1), identities._symmetric_point(3),
               identities._zeta_4m1(2), identities._vepstas(2), identities._ts_identity(5, 2),
-              identities._triple("pi", 7), identities._triple("zeta", 5)]
+              identities._triple(triple_for("pi", 7)),
+              identities._triple(triple_for("zeta", 5))]
     assert {identity for identity, _, _ in checks} == {
         "ramanujan", "symmetric_point", "zeta_4m1", "vepstas", "ts_identity", "triple"}
     variants = [(identity, params, form[:i] + [(perturbed(c), term)] + form[i + 1:])

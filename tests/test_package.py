@@ -10,9 +10,10 @@ names of its other layers on first access, with the same objects as their
 home modules.  The record types keep the value semantics of frozen
 dataclasses, and they pickle, so a process pool can return them; a thread
 pool returns the same values as serial calls.  Public entry points reject
-digits < 1 before they compute anything.  Every function the benchmark's
-tracer wraps or reads still exists.  The kernel and the oracles are reached
-only through `series.term_values`.
+a digits that is no integer, or below 1, before they compute anything, and
+no module checks digits but through `bernoulli._index`.  Every function the
+benchmark's tracer wraps or reads still exists.  The kernel and the oracles
+are reached only through `series.term_values`.
 """
 
 import ast
@@ -41,7 +42,8 @@ from plouffe.identities import (ResidualReport, ramanujan_residual, symmetric_po
                                 verify_all, zeta_4m1_residual)
 from plouffe.precision import PrecisionReal
 from plouffe.relations import RelationResult, min_digits_for, pslq, rediscover_triple
-from plouffe.series import SeriesSpec, eval_pi_power, eval_zeta_odd, zeta_reference
+from plouffe.series import (SeriesSpec, apery_zeta3, eval_pi_power, eval_zeta_odd, s_series,
+                            zeta_reference)
 
 # Runs the commands (each one argv string) in one fresh interpreter and
 # prints, as its last stderr line, the modules loaded past the ones the
@@ -273,6 +275,16 @@ def test_the_pair_products_and_every_rate_are_read_in_one_place():
         assert reader not in used.get("ratio", ())
 
 
+def test_the_triples_up_to_max_m_are_listed_once():
+    # bernoulli._triples is the one list of the triples that table prints and verify checks
+    source = pathlib.Path(plouffe.__file__).resolve().parent
+    in_cli, in_identities = (names_used(source / f"{module}.py") for module in ("cli", "identities"))
+    assert "cli._cmd_table" in in_cli["_triples"]
+    assert "identities._verify_checks" in in_identities["_triples"]
+    assert "cli._cmd_table" not in in_cli["PI_POWER"]
+    assert "PI_POWER" not in in_identities
+
+
 # In a fresh interpreter, where no name has been resolved yet.
 LAZY_API = """
 import sys
@@ -419,6 +431,10 @@ def test_every_residual_is_a_precision_real():
     assert {r.residual.digits for r in results[3:]} == {20, 30}
 
 
+def s_series_of_spec(n, r, digits):
+    return s_series(SeriesSpec(n, r, digits))
+
+
 # Each public entry point that takes digits, with its other arguments.
 ENTRY_POINTS = [
     (pslq, ([1, 2],)),
@@ -432,7 +448,25 @@ ENTRY_POINTS = [
     (eval_pi_power, (3,)),
     (eval_zeta_odd, (3,)),
     (rediscover_triple, ("pi", 1)),
+    (s_series_of_spec, (3, 1)),
+    (zeta_reference, (3,)),
+    (apery_zeta3, ()),
+    (PrecisionReal, (1,)),
 ]
+
+
+def forbid_computing(monkeypatch):
+    """Make the one evaluator, the kernel and the oracles fail wherever they are bound."""
+    def computed(*_):
+        raise AssertionError("computed before rejecting digits")
+
+    for module in (series, relations, identities):
+        monkeypatch.setattr(module, "term_values", computed)
+    monkeypatch.setattr(series, "_s_raw", computed)
+    for module in (fixed, series):
+        monkeypatch.setattr(module, "q_sums", computed)
+    for name in ("pi_power", "zeta_fixed", "apery_fixed"):
+        monkeypatch.setattr(series, name, computed)
 
 
 @pytest.mark.parametrize("digits", [0, -3])
@@ -444,20 +478,28 @@ def test_entry_points_reject_digits_below_one(function, args, digits):
 
 @pytest.mark.parametrize("function, args", ENTRY_POINTS)
 def test_entry_points_reject_digits_before_computing(monkeypatch, function, args):
-    def computed(*_):
-        raise AssertionError("computed before rejecting digits")
-
-    # the one evaluator, wherever it is bound
-    for module in (series, relations, identities):
-        monkeypatch.setattr(module, "term_values", computed)
-    monkeypatch.setattr(series, "_s_raw", computed)
-    # and the kernel and the oracles themselves, wherever they are bound
-    for module in (fixed, series):
-        monkeypatch.setattr(module, "q_sums", computed)
-    for name in ("pi_power", "zeta_fixed"):
-        monkeypatch.setattr(series, name, computed)
+    forbid_computing(monkeypatch)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)
+
+
+@pytest.mark.parametrize("digits", [10.5, 10.0, Fraction(10), True, "10"])
+@pytest.mark.parametrize("function, args", ENTRY_POINTS)
+def test_entry_points_reject_a_non_integer_digits_before_computing(monkeypatch, function, args,
+                                                                    digits):
+    # an integral float or Fraction is refused too, as for n, m and exponents
+    forbid_computing(monkeypatch)
+    with pytest.raises(ValueError, match=r"^digits must be an integer$"):
+        function(*args, digits)
+
+
+def test_no_module_checks_digits_itself():
+    # bernoulli._index is the one integer check of digits, as of every other index
+    source = pathlib.Path(plouffe.__file__).resolve().parent
+    for path in source.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name):
+                assert node.left.id != "digits", (path.name, node.lineno)
 
 
 @pytest.mark.parametrize("function, args, message", [
@@ -468,6 +510,8 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
     (ts_identity_residual, (True, 1, 10), "n must be an integer"),
     (verify_all, (1.5, 10), "max_m must be an integer"),
     (min_digits_for, (4, 0), "max_coeff_bound must be >= 1"),
+    (SeriesSpec, (True, 1, 10), "series exponent n must be an integer"),
+    (SeriesSpec, (3.0, 1, 10), "series exponent n must be an integer"),
 ])
 def test_a_bad_number_is_named_before_computing(monkeypatch, function, args, message):
     def computed(*_):
