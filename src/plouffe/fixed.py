@@ -248,6 +248,8 @@ def decimal_string(x, sig_digits, exponent=0):
     ``sig_digits`` significant digits, rounded half to even once, so the
     digit string is a deterministic function of the value.  Trailing zeros
     are kept: the digit count is part of the contract."""
+    if isinstance(sig_digits, bool) or not hasattr(type(sig_digits), "__index__"):
+        raise ValueError("sig_digits must be an integer")  # as bernoulli._index reads one
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
     value = _round(x, exponent, sig_digits, ROUND_HALF_EVEN)
@@ -255,12 +257,12 @@ def decimal_string(x, sig_digits, exponent=0):
     return format(value, "e" if value.adjusted() >= sig_digits else "f") if value else "0"
 
 
-def nstr(x, dps, exponent=0):
-    """x 2**exponent, for anything `ratio` takes, rounded half up once to dps
-    significant digits, in mpmath's `nstr` notation: trailing zeros stripped,
-    fixed notation when the decimal exponent lies strictly between
+def nstr(x, dps):
+    """x, for anything `ratio` takes, rounded half up once to dps significant
+    digits, in mpmath's `nstr` notation: trailing zeros stripped, fixed
+    notation when the decimal exponent lies strictly between
     min(-(dps // 3), -5) and dps, else a mantissa and a signed exponent."""
-    value = _round(x, exponent, dps, ROUND_HALF_UP)
+    value = _round(x, 0, dps, ROUND_HALF_UP)
     if not value:
         return "0.0"
     digits, power, split = "".join(map(str, value.as_tuple().digits)), value.adjusted(), 1

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .bernoulli import _index, _pairs, _triples, _zeta_identity, g_sum, h_sum, triple_for
 from .fixed import GUARD, nstr, places
 from .precision import PrecisionReal
-from .series import _rho_j, series_term, term_values
+from .series import _exact, _rho_j, series_term, term_values
 
 
 class ResidualReport(namedtuple("ResidualReport", "identity parameters residual digits passed")):
@@ -74,10 +74,9 @@ def _run(checks, digits):
             groups[j] = groups.get(j, 0) + rho * (m << (P - prec))
     places_pi = max((places(accuracy + 1, int(abs(a)) >> P) for groups in sums
                      for j, a in groups.items() if j), default=0)
-    pis = {0: 1}
-    for (_, k), (m, prec) in term_values({("pi", abs(j)) for groups in sums for j in groups if j},
-                                         places_pi).items():
-        pis[k], pis[-k] = Fraction(m, 1 << prec), Fraction(1 << prec, m)
+    pis, powers = {0: 1}, {abs(j) for groups in sums for j in groups if j}
+    for k, value in zip(powers, _exact([("pi", k) for k in powers], places_pi)):
+        pis[k], pis[-k] = value, 1 / value
     reports = []
     for (identity, parameters, _), groups in zip(checks, sums):
         total = abs(sum(a * pis[j] for j, a in groups.items()))

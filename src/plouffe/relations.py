@@ -25,7 +25,7 @@ from fractions import Fraction
 from .bernoulli import Target, _index, triple_for
 from .fixed import GUARD, places, ratio
 from .precision import PrecisionReal
-from .series import series_term, term_values
+from .series import _exact, series_term
 
 MAX_COEFF = 10 ** 9  # the largest relation coefficient searched for
 MAX_ITERATIONS = 10 ** 4
@@ -50,6 +50,7 @@ def _canonical(vector):
 def min_digits_for(n_values, max_coeff_bound):
     """pslq's acceptance rule: a relation among n values with coefficients up
     to the bound needs D >= n * log10(bound) + 15 (Ferguson, Bailey & Arno 1999)."""
+    n_values = _index(n_values, "n_values", 1)
     if max_coeff_bound < 1:
         raise ValueError("max_coeff_bound must be >= 1")
     return math.ceil(n_values * math.log10(max_coeff_bound)) + 15
@@ -269,8 +270,8 @@ def rediscover_triple(target, exponent, digits):
     Runs `pslq` on [target value, S(1), S(2), S(4)], normalizes the relation
     so the target's coefficient is -1, and checks the recovered rationals
     against the exact closed-form triple.  Returns (RelationResult, triple).
-    All four values come from `series.term_values`, in integers: the S
-    values from one kernel pass, and the target from its independent oracle.
+    All four values are exact, read by `series._exact`: the S values from one
+    kernel pass, and the target from its independent oracle.
     """
     digits = _index(digits, "digits", 1)
     target = Target(target)
@@ -278,8 +279,7 @@ def rediscover_triple(target, exponent, digits):
 
     # a relation with coefficients up to the bound must vanish to digits + GUARD places
     terms = [(target.value, exponent)] + [series_term(exponent, s) for s, _ in expected.weights()]
-    values = term_values(terms, places(digits + GUARD, 4 * MAX_COEFF))
-    result = pslq([Fraction(m, 1 << prec) for m, prec in map(values.get, terms)], digits)
+    result = pslq(_exact(terms, places(digits + GUARD, 4 * MAX_COEFF)), digits)
     if not result.found:
         why = result.stop
         if why == "norm bound":

@@ -1,7 +1,7 @@
-"""The evaluation layer: :func:`term_values`, which every command and public
-evaluator calls, gives the Lambert-type series S_n(r) and T_n(r), pi^(2n+1)
-and zeta(2n+1) assembled from exact coefficient triples, and the oracles
-they are checked against, each as an integer m 2**-prec.
+"""The evaluation layer: :func:`term_values`, the one caller of the kernel
+and of every oracle, gives the Lambert-type series S_n(r) and T_n(r), and
+pi^(2n+1) and zeta(2n+1) from exact triples, with their oracles, as integers
+m 2**-prec, which :func:`_exact` alone reads as exact dyadic Fractions.
 
 With q = e^(-pi r), S_n(s r) = sum_k 1/(k^n (e^(pi s r k) - 1)) is the power
 series sum_{s|M} sigma_{-n}(M/s) q^M, sigma_{-n}(m) = sum_{d|m} d^(-n).  So a
@@ -12,10 +12,10 @@ small rational coefficients make it a polynomial in one fixed q, which
 rectangular splitting evaluates with about 2 sqrt(N) full multiplies and N
 scalar operations, each linear in the working precision.
 
-Oracle independence: the ("zeta", s) and ("pi", k) terms and
-:func:`apery_zeta3` come from the integer oracles of `plouffe.oracles`,
-which share no code path with the S/T series or the triple assembly, so
-agreement between the two routes is evidence rather than a tautology.
+Oracle independence: the ("zeta", s), ("pi", k) and ("apery", 3) terms come
+from the integer oracles of `plouffe.oracles`, which share no code path
+with the S/T series or the triple assembly, so agreement between the two
+routes is evidence rather than a tautology.
 """
 
 import math
@@ -86,23 +86,27 @@ def term_values(terms, accuracy):
             values.update((term, (m, prec)) for (_, term), m in zip(shared, sums))
             group = [pair for pair in group if pair not in shared]
     for kind, k in (term for term in terms if term[0] != "S"):
-        values[kind, k] = zeta_fixed(k, accuracy) if kind == "zeta" else pi_power(k, accuracy)
+        values[kind, k] = (apery_fixed(accuracy) if kind == "apery" else
+                           zeta_fixed(k, accuracy) if kind == "zeta" else pi_power(k, accuracy))
     return values
+
+
+def _exact(terms, accuracy):
+    """The exact dyadic Fraction of each term, in order, within 10**-accuracy."""
+    return [Fraction(m, 1 << prec) for m, prec in map(term_values(terms, accuracy).get, terms)]
 
 
 def _value(term, digits):
     """The term's value as a PrecisionReal of `digits`, computed within 10**-(digits + GUARD)."""
     digits = _index(digits, "digits", 1)
-    ((m, prec),) = term_values([term], digits + GUARD).values()
-    return PrecisionReal(Fraction(m, 1 << prec), digits)
+    return PrecisionReal(*_exact([term], digits + GUARD), digits)
 
 
 def _s_raw(n, r, target_digits, plus_one=False, weights=((1, 1),)):
     """sum_s w_s S_n(s r) (T_n with plus_one) as an exact dyadic Fraction with
-    absolute error below 10**-target_digits: `fixed.q_sums` of one output at
-    the exact rational of r, an int, Fraction, float or mpf."""
-    (m,), prec = q_sums(n, Fraction(*ratio(r)), target_digits, [weights], plus_one)
-    return Fraction(m, 1 << prec)
+    absolute error below 10**-target_digits: its S term at r, an int,
+    Fraction, float or mpf, read by `_exact`."""
+    return _exact([series_term(n, r, plus_one, weights)], target_digits)[0]
 
 
 def s_series(spec):
@@ -124,19 +128,14 @@ def eval_zeta_odd(exponent, digits):
 
 def apery_zeta3(digits):
     """zeta(3) through the accelerated series, to the precision contract."""
-    digits = _index(digits, "digits", 1)
-    m, prec = apery_fixed(digits + GUARD)
-    return PrecisionReal(Fraction(m, 1 << prec), digits)
+    return _value(("apery", 3), digits)
 
 
 def _zeta_ref_raw(s, target_digits):
     """zeta(s) within 10**-target_digits, as the exact Fraction of its ("zeta", s) term."""
-    ((m, prec),) = term_values([("zeta", s)], target_digits).values()
-    return Fraction(m, 1 << prec)
+    return _exact([("zeta", s)], target_digits)[0]
 
 
 def zeta_reference(s, digits):
     """Independent zeta oracle for integer s >= 2 (no Lambert-series code)."""
-    if not isinstance(s, int) or s < 2:
-        raise ValueError("zeta_reference requires an integer s >= 2")
-    return _value(("zeta", s), digits)
+    return _value(("zeta", _index(s, "s", 2)), digits)

@@ -276,7 +276,6 @@ def test_nstr_is_correctly_rounded_in_mpmaths_notation(value):
         if not den & (den - 1):
             x = mp.make_mpf(mp.libmp.from_man_exp(num, 1 - den.bit_length()))  # exact, not rounded
             assert fixed.nstr(x, dps) == expected
-            assert fixed.nstr(num, dps, 1 - den.bit_length()) == expected
             if not value or not near_a_tie(value, dps):
                 assert mp.nstr(x, dps) == expected
 

@@ -11,9 +11,11 @@ home modules.  The record types keep the value semantics of frozen
 dataclasses, and they pickle, so a process pool can return them; a thread
 pool returns the same values as serial calls.  Public entry points reject
 a digits that is no integer, or below 1, before they compute anything, and
-no module checks digits but through `bernoulli._index`.  Every function the
+no module checks digits but through `bernoulli._index`, whose test
+`decimal_string` states for its `sig_digits`.  Every function the
 benchmark's tracer wraps or reads still exists.  The kernel and the oracles
-are reached only through `series.term_values`.
+are reached only through `series.term_values`, whose integers only
+`series._exact`, `identities._run` and `cli._cmd_eval` read.
 """
 
 import ast
@@ -36,7 +38,7 @@ from test_cli_golden import masked
 
 import plouffe
 from plouffe import fixed, identities, relations, series
-from plouffe.bernoulli import CoefficientTriple, Target, triple_for
+from plouffe.bernoulli import CoefficientTriple, Target, _index, triple_for
 from plouffe.identities import (ResidualReport, ramanujan_residual, symmetric_point_residual,
                                 triple_residual, ts_identity_residual, vepstas_residual,
                                 verify_all, zeta_4m1_residual)
@@ -223,16 +225,18 @@ def names_used(path):
 
 
 def test_the_kernel_and_the_oracles_are_reached_only_through_term_values():
-    # series.term_values is the one door to the numbers: the commands and the
-    # API reach the kernel and the oracles through it, and past it only
-    # _s_raw, which the tests and the benchmark tracer call, reaches the kernel
+    # series.term_values is the one door to the numbers: everything reaches
+    # the kernel and the oracles through it, and its integers (m, prec) are
+    # read by the one reader of exact values, by _run's integer sums and by
+    # eval, which renders them without a Fraction
     source = pathlib.Path(plouffe.__file__).resolve().parent
     used = {}
     for path in source.glob("*.py"):
         for name, owners in names_used(path).items():
             used.setdefault(name, set()).update(owners)
-    assert used["q_sums"] == {"series.term_values", "series._s_raw"}
-    assert used["zeta_fixed"] == used["pi_power"] == {"series.term_values"}
+    assert used["q_sums"] == used["zeta_fixed"] == used["pi_power"] == used["apery_fixed"] == {
+        "series.term_values"}
+    assert used["term_values"] == {"series._exact", "identities._run", "cli._cmd_eval"}
     for module in ("cli", "relations", "identities"):
         tree = ast.parse((source / f"{module}.py").read_text())
         for node in ast.walk(tree):
@@ -460,7 +464,7 @@ def forbid_computing(monkeypatch):
     def computed(*_):
         raise AssertionError("computed before rejecting digits")
 
-    for module in (series, relations, identities):
+    for module in (series, identities):  # series._exact reads series.term_values
         monkeypatch.setattr(module, "term_values", computed)
     monkeypatch.setattr(series, "_s_raw", computed)
     for module in (fixed, series):
@@ -493,6 +497,16 @@ def test_entry_points_reject_a_non_integer_digits_before_computing(monkeypatch, 
         function(*args, digits)
 
 
+@pytest.mark.parametrize("value", [10.5, 10.0, Fraction(10), True, "10", 0])
+def test_decimal_string_refuses_the_sig_digits_index_refuses(value):
+    # fixed imports nothing from the package, so it states _index's test itself
+    with pytest.raises(ValueError) as refused:
+        _index(value, "sig_digits", 1)
+    with pytest.raises(ValueError, match=rf"^{refused.value}$"):
+        fixed.decimal_string(1, value)
+    assert _index(10, "sig_digits", 1) == 10 and fixed.decimal_string(1, 10) == "1.000000000"
+
+
 def test_no_module_checks_digits_itself():
     # bernoulli._index is the one integer check of digits, as of every other index
     source = pathlib.Path(plouffe.__file__).resolve().parent
@@ -512,12 +526,17 @@ def test_no_module_checks_digits_itself():
     (min_digits_for, (4, 0), "max_coeff_bound must be >= 1"),
     (SeriesSpec, (True, 1, 10), "series exponent n must be an integer"),
     (SeriesSpec, (3.0, 1, 10), "series exponent n must be an integer"),
+    (min_digits_for, (4.5, 10), "n_values must be an integer"),
+    (min_digits_for, (True, 10), "n_values must be an integer"),
+    (zeta_reference, (3.0, 10), "s must be an integer"),
+    (zeta_reference, (True, 10), "s must be an integer"),
+    (zeta_reference, (1, 10), "s must be >= 2"),
 ])
 def test_a_bad_number_is_named_before_computing(monkeypatch, function, args, message):
     def computed(*_):
         raise AssertionError("computed before rejecting the input")
 
-    for module in (series, relations, identities):
+    for module in (series, identities):  # series._exact reads series.term_values
         monkeypatch.setattr(module, "term_values", computed)
     with pytest.raises(ValueError, match=rf"^{message}$"):
         function(*args)
