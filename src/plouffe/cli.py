@@ -3,8 +3,9 @@ identity verification, PSLQ rediscovery, batch tables, and Bernoulli
 numbers, with machine-readable output.
 
 Exit codes: 0 success, 1 verification/discovery failure (including an
-eval --check agreement below --digits), 2 usage error.  verify and
-discover print what the API's `verify_all` and `rediscover_triple` return.
+eval --check agreement below --digits), 2 usage error.  eval, verify and
+discover print what the API's `eval_pi_power` or `eval_zeta_odd`,
+`verify_all` and `rediscover_triple` return.
 Identical invocations produce byte-identical standard output; wall-clock
 timing is only emitted on request (--timing), as a JSON field or on the
 error stream, so it never perturbs that guarantee.
@@ -121,20 +122,15 @@ def _cmd_coeffs(args):
 
 def _cmd_eval(args):
     """Exit 1 when --check finds the value and its oracle agreeing to fewer than --digits."""
-    from .fixed import GUARD, agreement_digits, decimal_string
-    from .series import series_term, term_values
+    from .fixed import agreement_digits
+    from .series import _value, eval_pi_power, eval_zeta_odd
 
-    triple = triple_for(Target(args.target), args.exponent)
-    terms = [series_term(args.exponent, 1, weights=triple.weights())]
-    terms += [(triple.target.value, args.exponent)] if args.check else []  # the oracle
-    values = term_values(terms, args.digits + GUARD)
-    mantissa, prec = values[terms[0]]
-    result = {"value": decimal_string(mantissa, args.digits, -prec)}
+    evaluate = eval_pi_power if args.target == "pi" else eval_zeta_odd
+    value = evaluate(args.exponent, args.digits)  # first: a sum past MAX_TERMS is refused here
+    result = {"value": value.to_decimal_string()}
     if args.check:
-        m, oracle_prec = values[terms[1]]
-        result["oracle_agreement_digits"] = min(
-            agreement_digits(Fraction(mantissa, 1 << prec), Fraction(m, 1 << oracle_prec)),
-            args.digits)
+        oracle = _value((args.target, args.exponent), args.digits)
+        result["oracle_agreement_digits"] = min(agreement_digits(value, oracle), args.digits)
     agree = result.get("oracle_agreement_digits")
     _emit(args, {"target": args.target, "exponent": args.exponent}, {
         "json": lambda: result,

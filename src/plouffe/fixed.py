@@ -224,10 +224,10 @@ def ratio(x):
     raise ValueError(f"cannot render non-finite value {x!r}")
 
 
-def _round(x, exponent, count, rounding):
-    """x 2**exponent, for anything `ratio` takes, rounded once to a `Decimal`
-    of `count` significant digits, or Decimal 0.  |x| 10**k is split exactly
-    into an integer q of more than `count` digits and a remainder, so every
+def _round(x, count, rounding):
+    """x, for anything `ratio` takes, rounded once to a `Decimal` of `count`
+    significant digits, or Decimal 0.  |x| 10**k is split exactly into an
+    integer q of more than `count` digits and a remainder, so every
     rounding boundary is an integer in q's units, and one `Decimal` rounding
     of 10 q, plus 1 for a nonzero remainder, rounds as the exact value does.
     A carry (9.99... -> 10.0...) moves the exponent.  No int passes through
@@ -235,24 +235,23 @@ def _round(x, exponent, count, rounding):
     num, den = ratio(x)
     if not num:
         return Decimal(0)
-    sign, num, den = -1 if num < 0 else 1, abs(num) << max(exponent, 0), den << max(-exponent, 0)
     k = count + 2 - math.floor((num.bit_length() - den.bit_length() - 1) * math.log10(2))
-    q, rest = divmod(num * 10 ** max(k, 0), den * 10 ** max(-k, 0))
+    q, rest = divmod(abs(num) * 10 ** max(k, 0), den * 10 ** max(-k, 0))
     with localcontext() as ctx:
         ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax = count, rounding, MIN_EMIN, MAX_EMAX
-        return (sign * Decimal(10 * q + (rest > 0))).scaleb(-k - 1)
+        return ((1 if num > 0 else -1) * Decimal(10 * q + (rest > 0))).scaleb(-k - 1)
 
 
-def decimal_string(x, sig_digits, exponent=0):
-    """Render x 2**exponent, for anything `ratio` takes, with exactly
-    ``sig_digits`` significant digits, rounded half to even once, so the
-    digit string is a deterministic function of the value.  Trailing zeros
-    are kept: the digit count is part of the contract."""
+def decimal_string(x, sig_digits):
+    """Render x, for anything `ratio` takes, with exactly ``sig_digits``
+    significant digits, rounded half to even once, so the digit string is a
+    deterministic function of the value.  Trailing zeros are kept: the digit
+    count is part of the contract."""
     if isinstance(sig_digits, bool) or not hasattr(type(sig_digits), "__index__"):
         raise ValueError("sig_digits must be an integer")  # as bernoulli._index reads one
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
-    value = _round(x, exponent, sig_digits, ROUND_HALF_EVEN)
+    value = _round(x, sig_digits, ROUND_HALF_EVEN)
     # fewer requested digits than integer places: the exponent keeps the count visible
     return format(value, "e" if value.adjusted() >= sig_digits else "f") if value else "0"
 
@@ -262,7 +261,7 @@ def nstr(x, dps):
     digits, in mpmath's `nstr` notation: trailing zeros stripped, fixed
     notation when the decimal exponent lies strictly between
     min(-(dps // 3), -5) and dps, else a mantissa and a signed exponent."""
-    value = _round(x, 0, dps, ROUND_HALF_UP)
+    value = _round(x, dps, ROUND_HALF_UP)
     if not value:
         return "0.0"
     digits, power, split = "".join(map(str, value.as_tuple().digits)), value.adjusted(), 1
@@ -280,6 +279,6 @@ def agreement_digits(a, b):
     diff = abs(Fraction(*ratio(a)) - Fraction(*ratio(b)))
     if not diff:
         return 10 ** 6
-    lead = _round(diff, 0, 20, ROUND_FLOOR).adjusted()  # floor(log10 |a - b|), exactly
+    lead = _round(diff, 20, ROUND_FLOOR).adjusted()  # floor(log10 |a - b|), exactly
     num, den = diff.as_integer_ratio()
     return -lead - (num * 10 ** max(-lead, 0) != den * 10 ** max(lead, 0))

@@ -17,9 +17,9 @@ from the three-series assembly, and every power of pi from Machin's formula
 (`oracles.pi_power`), never from the kernel's pi, so a passing residual is
 evidence and not circularity.  A report passes when the exact absolute
 residual is below 10**-digits, the contract every value is computed to; the
-residual itself is accurate to 10**-(digits + GUARD).  Values are integers
-m 2**-prec, and each report's residual is an exact dyadic PrecisionReal
-from the moment `_run` makes it.
+residual itself is accurate to 10**-(digits + GUARD).  Values are exact
+dyadic Fractions from `series._exact`, and each report's residual is an
+exact dyadic PrecisionReal from the moment `_run` makes it.
 """
 
 import math
@@ -29,7 +29,7 @@ from fractions import Fraction
 from .bernoulli import _index, _pairs, _triples, _zeta_identity, g_sum, h_sum, triple_for
 from .fixed import GUARD, nstr, places
 from .precision import PrecisionReal
-from .series import _exact, _rho_j, series_term, term_values
+from .series import _exact, _rho_j, series_term
 
 
 class ResidualReport(namedtuple("ResidualReport", "identity parameters residual digits passed")):
@@ -52,26 +52,27 @@ def _run(checks, digits):
     A form of N pairs with coefficients up to C (bounded with 3 < pi < 4)
     needs its S and zeta terms to places(digits + GUARD, N C), and each
     distinct term is evaluated once, to the most demanding form's accuracy.
-    A form's pairs are summed exactly by power j of pi, ("pi", k) being 1 at
-    j + k, each sum A_j over one denominator 2**P, then multiplied by pi^j,
-    the ("pi", |j|) term at places(accuracy + 1, A_j) for the largest A_j.  So
-    the terms leave the residual off by under 10**-(digits + GUARD), and
-    each pi^j by 10**-(accuracy + 1).  A report passes when the exact
-    |residual| is below 10**-digits; it holds |residual| cut to 2**-(P + 64).
+    A form's pairs, read by `series._exact`, are summed exactly by power j of
+    pi, ("pi", k) being 1 at j + k, each sum A_j in integers over the largest
+    denominator 2**P, then multiplied by pi^j, the ("pi", |j|) term at
+    places(accuracy + 1, A_j) for the largest A_j.  So the terms leave the
+    residual off by under 10**-(digits + GUARD), and each pi^j by
+    10**-(accuracy + 1).  A report passes when the exact |residual| is below
+    10**-digits; it holds |residual| cut to 2**-(P + 64).
     """
     digits = _index(digits, "digits", 1)
     forms = [[(*_rho_j(c), term) for c, term in form] for _, _, form in checks]
     accuracy = max(places(digits + GUARD, len(form) * max(
         abs(rho) * Fraction(4 if j > 0 else 3) ** j for rho, j, _ in form)) for form in forms)
-    values = term_values(dict.fromkeys(t for form in forms for *_, t in form if t[0] != "pi"),
-                         accuracy)
-    P = max((prec for _, prec in values.values()), default=0)
+    terms = list(dict.fromkeys(t for form in forms for *_, t in form if t[0] != "pi"))
+    values = dict(zip(terms, _exact(terms, accuracy)))
+    P = max((v.denominator.bit_length() - 1 for v in values.values()), default=0)
     sums = [{} for _ in forms]  # per form, {j: A_j 2**P}
     for form, groups in zip(forms, sums):
         for rho, j, term in form:
-            m, prec = values.get(term, (1, 0))  # ("pi", k): 1 at pi^(j + k)
+            v = values.get(term, 1)  # ("pi", k): 1 at pi^(j + k)
             j += term[1] if term[0] == "pi" else 0
-            groups[j] = groups.get(j, 0) + rho * (m << (P - prec))
+            groups[j] = groups.get(j, 0) + rho * (v.numerator << (P + 1 - v.denominator.bit_length()))
     places_pi = max((places(accuracy + 1, int(abs(a)) >> P) for groups in sums
                      for j, a in groups.items() if j), default=0)
     pis, powers = {0: 1}, {abs(j) for groups in sums for j in groups if j}

@@ -43,10 +43,14 @@ def zeta_fixed(s, target_digits):
     sh >= -1 for every D (bitlen(d) >= 3.3314 D + 16.8 and prec + g <=
     3.3220 D + 12.4 + log2(1.31 D + 8)), so the n floors add under
     4n 2^-g < 1/4 unit; with the last floor, eta is off by under 2 units and
-    zeta, after the factor and its floor, by under 5, below 10**-(D+1).
+    zeta, after the factor and its floor, by under 5, below 10**-(D+1).  No
+    term is summed for s >= prec + 2: zeta(s) - 1 < 2^-s + 2^(1-s)/(s-1) <=
+    2^(1-s) <= 2^-(prec+1), so floor(zeta(s) 2^prec) is exactly 2^prec.
     """
-    n = int(1.31 * target_digits) + 8
     prec = math.ceil((target_digits + 1) * math.log2(10)) + 3
+    if s >= prec + 2:
+        return 1 << prec, prec
+    n = int(1.31 * target_digits) + 8
     d_prev, d = 1, 3  # T_0(3), T_1(3); T_(k+1) = 6 T_k - T_(k-1)
     for _ in range(n - 1):
         d_prev, d = d, 6 * d - d_prev

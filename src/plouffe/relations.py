@@ -51,8 +51,7 @@ def min_digits_for(n_values, max_coeff_bound):
     """pslq's acceptance rule: a relation among n values with coefficients up
     to the bound needs D >= n * log10(bound) + 15 (Ferguson, Bailey & Arno 1999)."""
     n_values = _index(n_values, "n_values", 1)
-    if max_coeff_bound < 1:
-        raise ValueError("max_coeff_bound must be >= 1")
+    max_coeff_bound = _index(max_coeff_bound, "max_coeff_bound", 1)
     return math.ceil(n_values * math.log10(max_coeff_bound)) + 15
 
 
@@ -121,7 +120,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     |sum v_i x_i| <= min |y_i| |x| < 10**-(digits-10) sqrt(n) max|x_i|,
     below 10**-(digits-15) max|x_i| for every n < 10**10.
     The search also ends when the norm bound passes the coefficient bound
-    (any int), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
+    (an int >= 1), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
 
     Exact integer state plus one H.  B and its exact inverse A are integers,
     and y = X B / |X| is not carried: the termination test and a
@@ -159,6 +158,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     if len(values) < 2:
         raise ValueError("pslq needs at least 2 values")
     digits = _index(digits, "digits", 1)
+    max_coeff_bound = _index(max_coeff_bound, "max_coeff_bound", 1)
     X, e = _rounded([ratio(v) for v in values], digits)
     n = len(X)
     if not any(X):

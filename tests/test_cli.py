@@ -19,7 +19,7 @@ from mp_oracles import pi_const
 from plouffe import cli, oracles, series
 from plouffe.bernoulli import Target, triple_for
 from plouffe.cli import _load_cache, build_parser, main
-from plouffe.fixed import nstr
+from plouffe.fixed import agreement_digits, nstr
 from plouffe.identities import verify_all
 from plouffe.precision import decimal_string
 from plouffe.relations import rediscover_triple
@@ -201,6 +201,25 @@ def test_discover_prints_the_result_of_rediscover_triple(capsys):
     assert record["canonical_vector"] == list(result.vector)
     assert record["iterations"] == result.iterations
     assert record["residual"] == nstr(result.residual, 5)
+
+
+@pytest.mark.parametrize("target, exponent, digits", [("pi", 7, 300), ("zeta", 9, 200)])
+def test_eval_prints_what_the_api_returns(capsys, target, exponent, digits):
+    # the value of eval_pi_power or eval_zeta_odd, and under --check its
+    # agreement with the oracle term (zeta_reference's for a zeta target)
+    argv = ["eval", target, str(exponent), "--digits", str(digits)]
+    evaluate = series.eval_pi_power if target == "pi" else series.eval_zeta_odd
+    value = evaluate(exponent, digits)
+    oracle = series._value((target, exponent), digits)
+    if target == "zeta":
+        assert oracle == series.zeta_reference(exponent, digits)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, value.to_decimal_string() + "\n")
+    code, out, _ = run_cli(capsys, *argv, "--check", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "value": value.to_decimal_string(),
+        "oracle_agreement_digits": min(agreement_digits(value, oracle), digits)}
 
 
 def test_cli_imports_no_private_name_of_identities_or_relations():

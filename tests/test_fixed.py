@@ -168,11 +168,15 @@ def test_values_do_not_depend_on_the_call_order(fresh_pi):
     assert eval_pi_power(1, 300) == first
 
 
-def test_decimal_string_scales_by_a_power_of_two():
+def test_decimal_string_renders_a_dyadic_value_whole():
+    # eval renders its value's dyadic Fraction, reduced or not, with no power
+    # of two passed apart: decimal_string takes the value and the digits alone
     m = 3 * 2 ** 70 + 12345
-    assert fixed.decimal_string(m, 30, -70) == fixed.decimal_string(Fraction(m, 2 ** 70), 30)
-    assert fixed.decimal_string(5, 4, 3) == "40.00"
-    assert fixed.decimal_string(0, 4, -10) == "0"
+    assert fixed.decimal_string(Fraction(m, 2 ** 70), 30) == "3.00000000000000001045662173385"
+    assert fixed.decimal_string(Fraction(5 << 70, 2 ** 67), 4) == "40.00"
+    assert fixed.decimal_string(Fraction(0, 2 ** 10), 4) == "0"
+    with pytest.raises(TypeError):
+        fixed.decimal_string(m, 30, -70)
 
 
 def test_ratio_is_exact_and_rejects_non_finite_values():

@@ -1,6 +1,11 @@
 """The integer oracles: Machin's pi is exactly floor(pi 2^prec), and its
 powers, the pi-power targets of `discover`, and the eta oracle's zeta(s)
-keep their error bounds; all against mpmath."""
+keep their error bounds, on both sides of the s past which zeta(s) is 1 to
+the working precision; all against mpmath.  A huge s returns at once."""
+
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -49,3 +54,24 @@ def test_zeta_fixed_is_within_its_bound(s, digits):
     with mp.workdps(digits + 30):
         error = abs(mp.ldexp(m, -prec) - mp.zeta(s))
         assert error < mp.mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("digits", [1, 30, 500])
+def test_zeta_fixed_is_within_its_bound_at_the_large_s_threshold(digits):
+    # from s = prec + 2 on, zeta(s) - 1 < 2**-(prec + 1) and no term is summed
+    prec = zeta_fixed(2, digits)[1]
+    assert zeta_fixed(prec + 2, digits) == (1 << prec, prec)
+    for s in (prec + 1, prec + 2, prec + 3):
+        m, p = zeta_fixed(s, digits)
+        with mp.workdps(digits + 30):
+            assert abs(mp.ldexp(m, -p) - mp.zeta(s)) < mp.mpf(10) ** -digits
+
+
+def test_zeta_reference_at_a_huge_s_returns_at_once():
+    # an eta sum over (k + 1)**(10**7) runs for minutes: in a child, so that
+    # it fails on the timeout instead of hanging the suite
+    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
+    child = "from plouffe import zeta_reference; print(zeta_reference(10**7, 5).to_decimal_string())"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "1.0000\n"), proc.stderr

@@ -15,7 +15,7 @@ no module checks digits but through `bernoulli._index`, whose test
 `decimal_string` states for its `sig_digits`.  Every function the
 benchmark's tracer wraps or reads still exists.  The kernel and the oracles
 are reached only through `series.term_values`, whose integers only
-`series._exact`, `identities._run` and `cli._cmd_eval` read.
+`series._exact` reads.
 """
 
 import ast
@@ -227,8 +227,7 @@ def names_used(path):
 def test_the_kernel_and_the_oracles_are_reached_only_through_term_values():
     # series.term_values is the one door to the numbers: everything reaches
     # the kernel and the oracles through it, and its integers (m, prec) are
-    # read by the one reader of exact values, by _run's integer sums and by
-    # eval, which renders them without a Fraction
+    # read by series._exact alone, so they never leave series
     source = pathlib.Path(plouffe.__file__).resolve().parent
     used = {}
     for path in source.glob("*.py"):
@@ -236,7 +235,7 @@ def test_the_kernel_and_the_oracles_are_reached_only_through_term_values():
             used.setdefault(name, set()).update(owners)
     assert used["q_sums"] == used["zeta_fixed"] == used["pi_power"] == used["apery_fixed"] == {
         "series.term_values"}
-    assert used["term_values"] == {"series._exact", "identities._run", "cli._cmd_eval"}
+    assert used["term_values"] == {"series._exact"}
     for module in ("cli", "relations", "identities"):
         tree = ast.parse((source / f"{module}.py").read_text())
         for node in ast.walk(tree):
@@ -464,8 +463,7 @@ def forbid_computing(monkeypatch):
     def computed(*_):
         raise AssertionError("computed before rejecting digits")
 
-    for module in (series, identities):  # series._exact reads series.term_values
-        monkeypatch.setattr(module, "term_values", computed)
+    monkeypatch.setattr(series, "term_values", computed)  # which series._exact reads
     monkeypatch.setattr(series, "_s_raw", computed)
     for module in (fixed, series):
         monkeypatch.setattr(module, "q_sums", computed)
@@ -531,13 +529,19 @@ def test_no_module_checks_digits_itself():
     (zeta_reference, (3.0, 10), "s must be an integer"),
     (zeta_reference, (True, 10), "s must be an integer"),
     (zeta_reference, (1, 10), "s must be >= 2"),
+    (min_digits_for, (4, True), "max_coeff_bound must be an integer"),
+    (min_digits_for, (4, 2.5), "max_coeff_bound must be an integer"),
+    (min_digits_for, (4, "10"), "max_coeff_bound must be an integer"),
+    (pslq, ([3, 7], 30, True), "max_coeff_bound must be an integer"),
+    (pslq, ([3, 7], 30, 2.5), "max_coeff_bound must be an integer"),
+    (pslq, ([3, 7], 30, "10"), "max_coeff_bound must be an integer"),
+    (pslq, ([3, 7], 30, 0), "max_coeff_bound must be >= 1"),
 ])
 def test_a_bad_number_is_named_before_computing(monkeypatch, function, args, message):
     def computed(*_):
         raise AssertionError("computed before rejecting the input")
 
-    for module in (series, identities):  # series._exact reads series.term_values
-        monkeypatch.setattr(module, "term_values", computed)
+    monkeypatch.setattr(series, "term_values", computed)  # which series._exact reads
     with pytest.raises(ValueError, match=rf"^{message}$"):
         function(*args)
 

@@ -254,6 +254,7 @@ def test_pslq_input_validation():
 
 def test_min_digits_rule_of_thumb():
     assert min_digits_for(4, 10 ** 9) == 4 * 9 + 15
+    assert min_digits_for(4, 10 ** 400) == 4 * 400 + 15  # an int past the float range
 
 
 def test_rediscover_pi_5():
