@@ -3,7 +3,9 @@ identity verification, PSLQ rediscovery, batch tables, and Bernoulli
 numbers, with machine-readable output.
 
 Exit codes: 0 success, 1 verification/discovery failure (including an
-eval --check agreement below --digits), 2 usage error.  eval, verify and
+eval --check agreement below --digits), 2 usage error.  `_run` alone maps a
+refused computation to its code: a ValueError 2, an ArithmeticError (such
+as `RelationNotFoundError`) 1, its reason printed.  eval, verify and
 discover print what the API's `eval_pi_power` or `eval_zeta_odd`,
 `verify_all` and `rediscover_triple` return.
 Identical invocations produce byte-identical standard output; wall-clock
@@ -11,9 +13,10 @@ timing is only emitted on request (--timing), as a JSON field or on the
 error stream, so it never perturbs that guarantee.
 
 The Bernoulli memo can persist across runs in a text cache (--cache or
-$PLOUFFE_CACHE), one record per line, "index numerator/denominator",
-written atomically.  A missing or unreadable cache is never an error; the
-numbers are recomputed.
+$PLOUFFE_CACHE), one record per line, the index and what `plouffe
+bernoulli <index>` prints ("numerator/denominator", or an integer), written
+atomically.  A missing or unreadable cache is never an error; the numbers
+are recomputed.
 """
 
 import argparse
@@ -22,7 +25,6 @@ import os
 import re
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 
 # The other layers, json and tempfile are imported where they are used, so
@@ -155,13 +157,9 @@ def _cmd_verify(args):
 
 def _cmd_discover(args):
     from .fixed import nstr
-    from .relations import RelationNotFoundError, rediscover_triple
+    from .relations import rediscover_triple
 
-    try:
-        result, triple = rediscover_triple(args.target, args.exponent, args.digits)
-    except RelationNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result, triple = rediscover_triple(args.target, args.exponent, args.digits)
     vector_text = "[" + ", ".join(format_rational(q) for q in (-1, *triple.coefficients())) + "]"
     formula = _formula(triple)
     _emit(args, {"target": args.target, "exponent": args.exponent}, {
@@ -244,7 +242,7 @@ def _save_cache(path, entries_in_file):
         fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".plouffe-cache-")
         with os.fdopen(fd, "w", encoding="ascii") as handle:
             for index, value in enumerate(snapshot):
-                handle.write(f"{index} {Decimal(value.numerator)}/{Decimal(value.denominator)}\n")
+                handle.write(f"{index} {format_rational(value)}\n")
         os.replace(temp_path, path)
         temp_path = None
     except (OSError, ValueError) as exc:
@@ -338,12 +336,9 @@ def _run(args):
     loaded = _load_cache(cache_path)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
     finally:
         _save_cache(cache_path, loaded)
 

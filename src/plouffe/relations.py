@@ -3,18 +3,9 @@ triples from raw high-precision values, those of `series.term_values`.
 
 The implementation follows the standard PSLQ formulation (lower-trapezoidal
 H matrix, gamma = sqrt(4/3) row selection, Hermite reduction) as exact
-integer state plus one H.  The inputs are rounded once to D + GUARD
-decimal places for D requested digits and held as integers over one power
-of two.  The B matrix, whose columns are the candidate relations, its
-inverse, y = x B and each candidate's residual are then exact Python
-integers, so a detected relation and its residual are exact.  H is the one
-floating-point matrix, a `decimal` one: it runs at the precision its
-decisions need and is rebuilt exactly from the integer state as that grows
-(see `pslq`).  While running, 1/max|H_jj| is a lower bound on the
-Euclidean norm of any relation, which is what a found = False result
-reports as the exclusion bound.  A candidate is a relation only at the
-precision its size needs (`min_digits_for`); each result says why it
-stopped, and its residual is an exact dyadic PrecisionReal.
+integer state plus one `decimal` H.  `pslq`'s docstring states the whole
+search: how the inputs are rounded, when a candidate is a relation, how H
+is kept and why the norm bound it reports is a lower bound.
 """
 
 import math
@@ -31,7 +22,7 @@ MAX_COEFF = 10 ** 9  # the largest relation coefficient searched for
 MAX_ITERATIONS = 10 ** 4
 
 
-class RelationNotFoundError(RuntimeError):
+class RelationNotFoundError(ArithmeticError):
     """No integer relation was detected within the configured bounds."""
 
 
@@ -70,16 +61,17 @@ def _rotate(H, r, c):
     return True
 
 
-def _working_bits(digits):
-    """The bits the inputs are rounded to: mpmath's dps_to_prec(digits + GUARD)."""
-    return round((digits + GUARD + 1) * 3.3219280948873626)
+def _working_bits(digits, bound):
+    """mpmath's dps_to_prec(digits + max(GUARD, floor(log10 bound))), the
+    bound's digits counted exactly by `Decimal`, with no str (see `pslq`)."""
+    return round((digits + max(GUARD, Decimal(bound).adjusted()) + 1) * 3.3219280948873626)
 
 
-def _rounded(ratios, digits):
-    """Exact (numerator, denominator) pairs rounded half to even to
-    `_working_bits(digits)` significant bits, as mpmath rounds them, and held
-    as integers X over one power of two: x_i = X_i 2**e.  Returns (X, e)."""
-    work, parts = _working_bits(digits), []
+def _rounded(ratios, work):
+    """Exact (numerator, denominator) pairs rounded half to even to `work`
+    significant bits, as mpmath rounds them, and held as integers X over one
+    power of two: x_i = X_i 2**e.  Returns (X, e)."""
+    parts = []
     for num, den in ratios:
         if not num:
             parts.append((0, 0))
@@ -109,7 +101,13 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     lower bound on the norm of any relation that could still exist; its
     residual is exact, a PrecisionReal of `digits`.  The values (mpf, int,
     float, Fraction or PrecisionReal) are taken exactly and rounded once by
-    `_rounded` to integers X over one power of two, x_i = X_i 2**e.
+    `_rounded` to integers X over one power of two, x_i = X_i 2**e, at the
+    w bits of P = digits + max(GUARD, floor(log10 max_coeff_bound)) places
+    (`_working_bits`).  A relation v of the values within the bound leaves
+    |sum v_i X_i 2**e| <= n max|v| max|x_i| 2**-w < 2n 10**-digits max|x_i|,
+    below the termination test for every n < 10**9, so the rounding hides
+    none, at any bound.  The norm bound is about the values as given,
+    rounded at P places, so inputs must be accurate to P places.
 
     Termination, named by the result's `stop`: once min |y_i| <
     10**-(digits-10) (tested before every iteration, since the initial
@@ -131,9 +129,9 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     ceil(p log10 2) + 1 digits, at least p bits, for
     p = min(128 + 2 * bitlen(max(|A|, |B|)), working precision) bits, since
     those decisions read only H's leading digits: about 40 digits, plus 0.6
-    per bit of A and B, at most the D + GUARD places the inputs were rounded
-    to.  H = A H_x Q throughout, for the H_x of X and an orthogonal Q, so H
-    is the L factor of A H_x up to column signs, which change neither |H_jj|
+    per bit of A and B, at most the P places the inputs were rounded to.
+    H = A H_x Q throughout, for the H_x of X and an orthogonal Q, so H is
+    the L factor of A H_x up to column signs, which change neither |H_jj|
     nor H_ij / H_jj.  Only `rebuild` makes H, from that exact product by a
     Givens LQ at the current p: at the start from A = I, where H_x is already
     lower trapezoidal, and whenever bitlen(max(|A|, |B|)) has grown by 8
@@ -159,7 +157,8 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         raise ValueError("pslq needs at least 2 values")
     digits = _index(digits, "digits", 1)
     max_coeff_bound = _index(max_coeff_bound, "max_coeff_bound", 1)
-    X, e = _rounded([ratio(v) for v in values], digits)
+    work = _working_bits(digits, max_coeff_bound)
+    X, e = _rounded([ratio(v) for v in values], work)
     n = len(X)
     if not any(X):
         raise ValueError("pslq input is the zero vector")
@@ -167,7 +166,6 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         # a zero entry makes the unit relation trivially exact
         return RelationResult(_canonical([int(i == X.index(0)) for i in range(n)]),
                               PrecisionReal(0, digits), 0, True, 1.0, "found")
-    work = _working_bits(digits)
     # the test |y_j| < 10**-(digits-10), y = X B / |X|, in integers:
     # |(X B)_j|**2 * 10**(2 digits) < |X|**2 * 10**20, i.e. |(X B)_j| <= y_max
     y_max = math.isqrt((sum(v * v for v in X) * 10 ** 20 - 1) // 10 ** (2 * digits))

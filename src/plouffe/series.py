@@ -66,10 +66,15 @@ def term_values(terms, accuracy):
     """{term: (m, prec)}, each value m 2**-prec within 10**-accuracy, for S
     terms (`series_term`), ("zeta", s) from the eta oracle and ("pi", k) from
     Machin's pi^k.  The S terms of one (n, plus_one) at integer multiples of
-    their lowest rate share one `q_sums` pass, the rest take further passes,
-    and a rate rho pi^j is taken exactly with `pi_fixed` at accuracy + 10
-    places.  The S passes run first: a sum past MAX_TERMS is refused before
-    any oracle runs."""
+    their lowest rate share one `q_sums` pass, the rest take further passes.
+    A rate rho pi^j takes pi rounded down to accuracy + 10 places
+    (`pi_fixed`), which moves the rate r by a relative |j| 10**-(accuracy+10)
+    / 3 at most, and a sum of weights W by at most that times W zeta(2) /
+    (pi r), as x / (2 cosh x - 2) <= 1/x.  A sum within MAX_TERMS has
+    1/(pi r) < 4.4e5, so the error is below |j| W 10**-(accuracy+4) / 4,
+    within the 0.8 10**-accuracy `q_sums` leaves while |j| W <= 10**4.  The
+    S passes run first: a sum past MAX_TERMS is refused before any oracle
+    runs."""
     groups, values = {}, {}
     bits = math.ceil((accuracy + 10) * math.log2(10))
     for term in terms:

@@ -16,13 +16,13 @@ import mpmath as mp
 import pytest
 from mp_oracles import pi_const
 
-from plouffe import cli, oracles, series
-from plouffe.bernoulli import Target, triple_for
+from plouffe import cli, oracles, relations, series
+from plouffe.bernoulli import Target, format_rational, triple_for
 from plouffe.cli import _load_cache, build_parser, main
 from plouffe.fixed import agreement_digits, nstr
 from plouffe.identities import verify_all
 from plouffe.precision import decimal_string
-from plouffe.relations import rediscover_triple
+from plouffe.relations import RelationNotFoundError, rediscover_triple
 
 bernoulli_module = importlib.import_module("plouffe.bernoulli")  # the package rebinds the name
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema"
@@ -280,6 +280,22 @@ def test_discover_names_the_coefficient_bound_when_it_stops_there(capsys):
     code, out, err = run_cli(capsys, "discover", "pi", "11", "--digits", "1000")
     assert (code, out) == (1, "")
     assert "1e+09 coefficient bound" in err and re.search(r"after \d+ iterations", err)
+    # cli._run alone turns the ArithmeticError into "error: <reason>" and exit 1
+    with pytest.raises(RelationNotFoundError) as exc:
+        rediscover_triple("pi", 11, 1000)
+    assert isinstance(exc.value, ArithmeticError) and err == f"error: {exc.value}\n"
+
+
+def test_cli_names_no_exception_class_of_relations():
+    exceptions = {name for name, value in vars(relations).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    assert exceptions == {"RelationNotFoundError"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    named = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+             | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names})
+    assert not exceptions & named
 
 
 def test_discover_json_validates(capsys):
@@ -323,7 +339,7 @@ def test_cache_roundtrip(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "bernoulli", "24", "--cache", str(cache))
     assert code == 0
     lines = cache.read_text().strip().splitlines()
-    assert lines[0] == "0 1/1"
+    assert lines[0] == "0 1"
     assert lines[1] == "1 -1/2"
     assert lines[12] == "12 -691/2730"
     assert len(lines) >= 25  # everything memoized so far is persisted
@@ -331,6 +347,23 @@ def test_cache_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "12", "--cache", str(cache))
     assert code == 0 and out.strip() == "-691/2730"
     assert len(cache.read_text().strip().splitlines()) >= len(lines)
+
+
+def test_a_cache_line_is_the_index_and_what_bernoulli_prints(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "bernoulli.cache"
+    assert run_cli(capsys, "bernoulli", "24", "--cache", str(cache))[0] == 0
+    lines = cache.read_text().splitlines()
+    assert len(lines) >= 25
+    assert lines == [f"{i} {format_rational(bernoulli_module.bernoulli(i))}"
+                     for i in range(len(lines))]
+    # a file written with "/1" on every integer entry still loads whole
+    older = tmp_path / "older.cache"
+    memo = bernoulli_module.memo_snapshot()[:len(lines)]
+    older.write_text("".join(f"{i} {q.numerator}/{q.denominator}\n" for i, q in enumerate(memo)))
+    assert older.read_text().startswith("0 1/1\n1 -1/2\n2 1/6\n3 0/1\n")
+    monkeypatch.setattr(bernoulli_module, "_memo", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
+    assert _load_cache(str(older)) == _load_cache(str(cache)) == len(lines)
 
 
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
@@ -473,7 +506,7 @@ def test_cache_with_a_non_integer_notation_is_rejected_and_rewritten(tmp_path, c
     assert _load_cache(str(cache)) == 0
     code, out, _ = run_cli(capsys, "bernoulli", "2", "--cache", str(cache))
     assert (code, out) == (0, "1/6\n")
-    assert cache.read_text() == "0 1/1\n1 -1/2\n2 1/6\n"
+    assert cache.read_text() == "0 1\n1 -1/2\n2 1/6\n"
 
 
 def failing_replace(*args):

@@ -14,10 +14,10 @@ from mp_oracles import mpf, pi_const, to_mpf
 
 from plouffe import relations
 from plouffe.bernoulli import Target, triple_for
-from plouffe.fixed import ratio
+from plouffe.fixed import places, ratio
 from plouffe.precision import GUARD
 from plouffe.relations import RelationNotFoundError, min_digits_for, pslq, rediscover_triple
-from plouffe.series import SeriesSpec, s_series
+from plouffe.series import SeriesSpec, _exact, s_series, series_term
 
 
 def s1_values(digits):
@@ -106,6 +106,25 @@ def test_pslq_accepts_a_bound_past_the_float_range():
     assert not result.found and result.vector == ()
 
 
+@pytest.mark.parametrize("target", ["pi", "zeta"])
+def test_pslq_finds_a_relation_that_the_rounding_once_hid(target):
+    # pi^41's and zeta(41)'s relations with S_41(1), S_41(2) and S_41(4) have
+    # coefficients near 10^58.8.  Inputs rounded to D + 20 places hid them
+    # (found = False on "norm bound"); at D + log10(bound) places they show.
+    triple = triple_for(target, 41)
+    terms = [(target, 41)] + [series_term(41, s) for s, _ in triple.weights()]
+    result = pslq(_exact(terms, places(1520, 4 * 10 ** 70)), 1500, 10 ** 70)
+    coefficients = (-1, *triple.coefficients())
+    scale = math.lcm(*(Fraction(c).denominator for c in coefficients))
+    assert (result.found, result.stop) == (True, "found")
+    assert result.vector == canonical([int(c * scale) for c in coefficients])
+
+
+def test_pslq_counts_the_digits_of_a_bound_past_the_int_str_limit():
+    # 10**5000 has more digits than str() of an int may give by default
+    assert pslq([3, 7], 30, 10 ** 5000).vector == (7, -3)
+
+
 def mpmath_rounded(values, digits):
     """Nonzero inputs as mpmath rounds them at pslq's working precision
     (`to_mpf` under workdps(digits + GUARD)), as integers X over 2**e."""
@@ -119,9 +138,9 @@ def mpmath_rounded(values, digits):
 @given(data=st.data())
 def test_input_rounding_is_mpmaths(data):
     # kernel pairs (m, prec) and mpf inputs, random or exactly on (or just
-    # past) a half-unit tie at the working precision
+    # past) a half-unit tie at the working precision of a bound up to 10**GUARD
     digits = data.draw(st.integers(1, 2100), label="digits")
-    work = relations._working_bits(digits)
+    work = relations._working_bits(digits, relations.MAX_COEFF)
     pairs = []
     for _ in range(data.draw(st.integers(1, 5), label="n")):
         m = data.draw(st.integers(1, 2 ** (work + 80)), label="m")
@@ -132,9 +151,9 @@ def test_input_rounding_is_mpmaths(data):
         pairs.append((data.draw(st.sampled_from([1, -1])) * m, data.draw(st.integers(0, 9000))))
     mpfs = [mpf(Fraction(m, 1 << prec)) for m, prec in pairs]
     expected = mpmath_rounded(mpfs, digits)
-    assert relations._rounded([(m, 1 << prec) for m, prec in pairs], digits) == expected
+    assert relations._rounded([(m, 1 << prec) for m, prec in pairs], work) == expected
     scaled = [mp.ldexp(x, data.draw(st.integers(-300, 300))) for x in mpfs]  # exact
-    assert relations._rounded([ratio(x) for x in scaled], digits) == mpmath_rounded(scaled, digits)
+    assert relations._rounded([ratio(x) for x in scaled], work) == mpmath_rounded(scaled, digits)
 
 
 def canonical(vector):

@@ -392,6 +392,19 @@ def test_rates_are_checked_exactly():
         assert s_series(SeriesSpec(3, rate, 10)) == half
 
 
+@pytest.mark.parametrize("n, rate, digits", [(3, (1, -1), 60), (1, (1, 1), 80),
+                                            (5, (Fraction(1, 3), 2), 100), (2, (7, -2), 120),
+                                            (1, (1, -2), 40)])
+def test_a_pi_power_rate_meets_the_contract_at_the_exact_rate(n, rate, digits):
+    # term_values rounds pi in rho pi^j; the brute-force sum takes mpmath's pi
+    # at 30 more digits, so it sees that rounding where an identity whose two
+    # sides read the same rounded rate cannot
+    value = s_series(SeriesSpec(n, rate, digits))
+    with mp.workdps(digits + 30):
+        reference = brute_force_reference(n, to_mpf(rate[0]) * mp.pi ** rate[1], digits, False)
+        assert abs(value.mpf - reference) < mp.mpf(10) ** -digits
+
+
 @pytest.mark.parametrize("weight", [0, -1, Fraction(-1, 2)])
 def test_truncation_index_names_a_weight_below_one(weight):
     with pytest.raises(ValueError, match=rf"^weight {weight} must be positive$"):
