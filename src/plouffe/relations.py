@@ -117,8 +117,10 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
     test bounds the exact residual it reports, so nothing else checks it:
     |sum v_i x_i| <= min |y_i| |x| < 10**-(digits-10) sqrt(n) max|x_i|,
     below 10**-(digits-15) max|x_i| for every n < 10**10.
-    The search also ends when the norm bound passes the coefficient bound
-    (an int >= 1), "norm bound", or at the "iteration cap", MAX_ITERATIONS.
+    The search also ends at the "iteration cap", MAX_ITERATIONS, or with
+    "norm bound" once the norm bound, a `Decimal` from H, passes sqrt(n)
+    times the coefficient bound (an int >= 1), tested exactly in its square;
+    `norm_bound` reports it as a float, which reads inf past 10**308.
 
     Exact integer state plus one H.  B and its exact inverse A are integers,
     and y = X B / |X| is not carried: the termination test and a
@@ -220,7 +222,7 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
         for i in range(1, n):
             reduce_row(i, i - 1)
 
-        best_bound = 0.0
+        best_bound = Decimal(0)
         iterations = 0
         stop = "insufficient precision"  # unless a break below says otherwise
         while True:
@@ -235,10 +237,9 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
                 if largest <= max_coeff_bound and min_digits_for(n, largest) <= digits:
                     residual = abs(sum(v * x for v, x in zip(vector, X))) * Fraction(2) ** e
                     return RelationResult(vector, PrecisionReal(residual, digits), iterations,
-                                          True, best_bound, "found")
+                                          True, float(best_bound), "found")
                 break  # numerically spent: v is too large for the bound or the digits
-            # float against int, so the bound may lie past the float range
-            if best_bound / math.sqrt(n) > max_coeff_bound:
+            if best_bound * best_bound > n * max_coeff_bound ** 2:
                 stop = "norm bound"  # no relation within the coefficient bound exists
                 break
             if iterations == MAX_ITERATIONS:
@@ -257,17 +258,17 @@ def pslq(values, digits, max_coeff_bound=MAX_COEFF):
 
             h_max = max(abs(H[i][i]) for i in range(n - 1))
             if h_max > 0:
-                best_bound = max(best_bound, float(1 / h_max))
+                best_bound = max(best_bound, 1 / h_max)
 
-    return RelationResult((), PrecisionReal(1, digits), iterations, False, best_bound, stop)
+    return RelationResult((), PrecisionReal(1, digits), iterations, False, float(best_bound), stop)
 
 
 def rediscover_triple(target, exponent, digits):
     """Recover (a, b, c) for the given target from raw numeric values.
 
-    Runs `pslq` on [target value, S(1), S(2), S(4)], normalizes the relation
-    so the target's coefficient is -1, and checks the recovered rationals
-    against the exact closed-form triple.  Returns (RelationResult, triple).
+    Runs `pslq` on [target value, S(1), S(2), S(4)] and compares the relation
+    it finds with the exact triple's, (-L, a L, b L, c L) in canonical form for
+    L the lcm of the triple's denominators.  Returns (RelationResult, triple).
     All four values are exact, read by `series._exact`: the S values from one
     kernel pass, and the target from its independent oracle.
     """
@@ -286,14 +287,13 @@ def rediscover_triple(target, exponent, digits):
         raise RelationNotFoundError(
             f"no relation found for {target.value} exponent {exponent} at {digits} digits "
             f"after {result.iterations} iterations ({why})")
-    v0 = result.vector[0]
-    if v0 == 0:
+    scale = math.lcm(*(q.denominator for q in expected.coefficients()))
+    relation = _canonical([-scale] + [int(q * scale) for q in expected.coefficients()])
+    if result.vector != relation:
+        need = min_digits_for(4, max(map(abs, result.vector + relation)))
+        cause = ("insufficient precision" if need > digits else
+                 "two relations at detectable precision contradict the exact triple")
         raise RelationNotFoundError(
-            "detected relation does not involve the target value; increase precision")
-    a, b, c = (Fraction(-v, v0) for v in result.vector[1:])
-    if (a, b, c) != expected.coefficients():
-        # a numerically plausible but wrong vector: the precision was too low
-        raise RelationNotFoundError(
-            f"recovered coefficients ({a}, {b}, {c}) disagree with the exact triple "
-            f"{expected.coefficients()}; the relation is spurious (insufficient precision)")
+            f"found relation {result.vector} for {target.value} exponent {exponent} is not the "
+            f"exact triple's {relation} ({cause}: {digits} digits, {need} tell them apart)")
     return result, expected

@@ -146,6 +146,12 @@ def test_ts_identity_residual():
     assert report.passed
 
 
+@pytest.mark.parametrize("rate", [-1, 0, (-1, 1)])
+def test_ts_identity_refuses_a_rate_that_is_not_positive(rate):
+    with pytest.raises(ValueError, match="^rate must be positive$"):
+        ts_identity_residual(3, rate, 30)
+
+
 def test_triple_residual_both_targets():
     assert triple_residual("pi", 5, 100).passed
     assert triple_residual("zeta", 7, 100).passed

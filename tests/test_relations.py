@@ -15,7 +15,7 @@ from mp_oracles import mpf, pi_const, to_mpf
 from plouffe import relations
 from plouffe.bernoulli import Target, triple_for
 from plouffe.fixed import places, ratio
-from plouffe.precision import GUARD
+from plouffe.precision import GUARD, PrecisionReal
 from plouffe.relations import RelationNotFoundError, min_digits_for, pslq, rediscover_triple
 from plouffe.series import SeriesSpec, _exact, s_series, series_term
 
@@ -120,6 +120,17 @@ def test_pslq_finds_a_relation_that_the_rounding_once_hid(target):
     assert result.vector == canonical([int(c * scale) for c in coefficients])
 
 
+@pytest.mark.parametrize("k", [310, 320, 400])
+def test_pslq_finds_a_relation_whose_norm_bound_passes_the_float_range(k):
+    # 1/max|H_jj| passes 10**308, past the float range, before the relation
+    # (A, -B) shows, so the stop test must compare it exactly
+    rng = random.Random(5)
+    a, b = (rng.randrange(10 ** k, 10 ** (k + 1)) for _ in range(2))
+    a, b = a // math.gcd(a, b), b // math.gcd(a, b)
+    result = pslq([Fraction(1), Fraction(a, b)], 2 * (k + 1) + 40, 10 ** (k + 5))
+    assert (result.found, result.stop, result.vector) == (True, "found", (a, -b))
+
+
 def test_pslq_counts_the_digits_of_a_bound_past_the_int_str_limit():
     # 10**5000 has more digits than str() of an int may give by default
     assert pslq([3, 7], 30, 10 ** 5000).vector == (7, -3)
@@ -208,6 +219,30 @@ def test_pslq_recovers_planted_relations(data):
         assert result.norm_bound <= math.hypot(*relation)
     if max(map(abs, relation)) <= bound:
         assert result.found
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pslq_bound_above_a_planted_relation_never_stops_on_the_norm_bound(data):
+    # planted norms up to 10**400, past the float range; three values take
+    # many more iterations at a size, so they stop at 10**120
+    n = data.draw(st.integers(2, 3), label="n")
+    size = 10 ** data.draw(st.integers(1, 400 if n == 2 else 120), label="log10 size")
+    # entries from a seeded generator, as hypothesis favours small integers,
+    # the last of the full size
+    rng = random.Random(data.draw(st.integers(0, 2 ** 64), label="seed"))
+    planted = [rng.randint(-size, size) for _ in range(n - 1)] + [rng.randint(size // 10, size)]
+    bound = max(map(abs, planted)) * data.draw(st.integers(1, 1000), label="bound factor")
+    digits = (min_digits_for(n, max(map(abs, planted)))
+              + data.draw(st.integers(5, 30), label="extra digits"))
+    # exact values: pslq rounds them at digits + log10(bound) places, past
+    # the digits + 40 that `planted_values` holds
+    bits = 4 * digits + 100
+    xs = [Fraction(rng.getrandbits(bits), 1 << bits) for _ in planted[:-1]]
+    xs.append(-sum(v * x for v, x in zip(planted, xs)) / planted[-1])
+    result = pslq(xs, digits, max_coeff_bound=bound)
+    assert result.stop != "norm bound"
+    assert (result.found, result.vector) == (True, canonical(planted))
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,6 +336,24 @@ def test_rediscover_insufficient_precision_raises():
     with pytest.raises(RelationNotFoundError):
         # far too few digits for the exponent-9 coefficients
         rediscover_triple(Target.ZETA_VALUE, 9, 30)
+
+
+@pytest.mark.parametrize("exponent, digits, vector, need, cause", [
+    # no target coefficient, at the digits the rule asks for coefficients up to 96
+    (1, 23, (0, 1, -2, 1), 23, "two relations at detectable precision contradict the exact triple"),
+    # one entry off, one digit short of what the rule asks for 7056
+    (5, 30, (1, -7056, 6993, 64), 31, "insufficient precision"),
+])
+def test_rediscover_refuses_a_relation_that_is_not_the_triples(monkeypatch, exponent, digits,
+                                                               vector, need, cause):
+    exact = canonical([-1, *(int(q) for q in triple_for("pi", exponent).coefficients())])
+    found = relations.RelationResult(vector, PrecisionReal(0, digits), 5, True, 1.0, "found")
+    monkeypatch.setattr(relations, "pslq", lambda *_: found)
+    with pytest.raises(RelationNotFoundError) as refusal:
+        rediscover_triple("pi", exponent, digits)
+    assert str(refusal.value) == (
+        f"found relation {vector} for pi exponent {exponent} is not the exact triple's "
+        f"{exact} ({cause}: {digits} digits, {need} tell them apart)")
 
 
 @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9])

@@ -411,6 +411,12 @@ def test_truncation_index_names_a_weight_below_one(weight):
         truncation_index(1, 1, 10, weight)
 
 
+@pytest.mark.parametrize("rate", [-1, 0])
+def test_truncation_index_refuses_a_rate_that_is_not_positive(rate):
+    with pytest.raises(ValueError, match="^rate must be positive$"):
+        truncation_index(3, rate, 30)
+
+
 @pytest.mark.parametrize("rate, estimate", [(Fraction(1, 10 ** 400), "2.27e+401"),
                                             (Fraction(1, 10 ** 6), "2.27e+7")])
 def test_a_rate_past_the_term_limit_is_refused_before_any_kernel_work(monkeypatch, rate,
