@@ -8,15 +8,14 @@ refused computation to its code: a ValueError 2, an ArithmeticError (such
 as `RelationNotFoundError`) 1, its reason printed.  eval, verify and
 discover print what the API's `eval_pi_power` or `eval_zeta_odd`,
 `verify_all` and `rediscover_triple` return.
-Identical invocations produce byte-identical standard output; wall-clock
-timing is only emitted on request (--timing), as a JSON field or on the
-error stream, so it never perturbs that guarantee.
+A command's output and side effects depend on its arguments alone: it
+reads no clock and no environment variable of its own, so identical
+invocations produce byte-identical standard output.
 
-The Bernoulli memo can persist across runs in a text cache (--cache or
-$PLOUFFE_CACHE), one record per line, the index and what `plouffe
-bernoulli <index>` prints ("numerator/denominator", or an integer), written
-atomically.  A missing or unreadable cache is never an error; the numbers
-are recomputed.
+The Bernoulli memo can persist across runs in a text cache (--cache PATH),
+one record per line, the index and what `plouffe bernoulli <index>` prints
+("numerator/denominator", or an integer), written atomically.  A missing or
+unreadable cache is never an error; the numbers are recomputed.
 """
 
 import argparse
@@ -24,7 +23,6 @@ import contextlib
 import os
 import re
 import sys
-import time
 from fractions import Fraction
 
 # The other layers, json and tempfile are imported where they are used, so
@@ -94,21 +92,16 @@ def _emit(args, inputs, renderings):
     result, printed in a record with the command, its inputs and any --digits."""
     fmt = getattr(args, "format", "plain")
     output = renderings[fmt]()
-    wall_ms = int((time.monotonic() - args._t0) * 1000)
     if fmt == "json":
         import json
 
         record = {"command": args.command, "inputs": inputs, "result": output}
         if hasattr(args, "digits"):
             record["digits"] = args.digits
-        if args.timing:
-            record["wall_time_ms"] = wall_ms
         print(json.dumps(record, indent=2))
     else:
         for line in output:
             print(line)
-        if args.timing:
-            print(f"wall_time_ms={wall_ms}", file=sys.stderr)
 
 
 def _cmd_coeffs(args):
@@ -263,9 +256,7 @@ def build_parser():
 
     def add_common(p, formats=None, digits=False, max_m=False, check=False):
         p.add_argument("--cache", default=None, metavar="PATH",
-                       help="Bernoulli cache file (default: $PLOUFFE_CACHE)")
-        p.add_argument("--timing", action="store_true",
-                       help="report wall time (JSON field, or a note on stderr)")
+                       help="Bernoulli cache file (default: none)")
         if formats:
             p.add_argument("--format", choices=formats, default="plain")
         if digits:
@@ -331,16 +322,14 @@ def main(argv=None):
 
 
 def _run(args):
-    args._t0 = time.monotonic()
-    cache_path = args.cache or os.environ.get("PLOUFFE_CACHE")
-    loaded = _load_cache(cache_path)
+    loaded = _load_cache(args.cache)
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
     finally:
-        _save_cache(cache_path, loaded)
+        _save_cache(args.cache, loaded)
 
 
 if __name__ == "__main__":

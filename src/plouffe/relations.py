@@ -40,10 +40,12 @@ def _canonical(vector):
 
 def min_digits_for(n_values, max_coeff_bound):
     """pslq's acceptance rule: a relation among n values with coefficients up
-    to the bound needs D >= n * log10(bound) + 15 (Ferguson, Bailey & Arno 1999)."""
+    to the bound needs D >= n * log10(bound) + 15 (Ferguson, Bailey & Arno 1999),
+    ceil(n log10 bound) counted exactly as the digits of bound^n - 1 (none for 0)."""
     n_values = _index(n_values, "n_values", 1)
     max_coeff_bound = _index(max_coeff_bound, "max_coeff_bound", 1)
-    return math.ceil(n_values * math.log10(max_coeff_bound)) + 15
+    below = max_coeff_bound ** n_values - 1
+    return (Decimal(below).adjusted() + 1 if below else 0) + 15
 
 
 def _rotate(H, r, c):

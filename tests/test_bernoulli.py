@@ -312,6 +312,15 @@ def test_e_coeff_values():
         assert e_coeff(m) != 0
 
 
+def test_d_and_e_coeff_name_the_coefficient_that_vanishes(monkeypatch):
+    for name in ("f_sum", "g_sum", "h_sum"):
+        monkeypatch.setattr(bernoulli_module, name, lambda n: Fraction(0))
+    with pytest.raises(ArithmeticError, match=r"^D_2 vanishes; the pi\^\(4m-1\) formula"):
+        d_coeff(2)
+    with pytest.raises(ArithmeticError, match=r"^E_2 vanishes; the pi\^\(4m\+1\) formula"):
+        e_coeff(2)
+
+
 def test_triple_for_reproduces_the_seven_formulas():
     started = time.monotonic()
     for (target, exponent), coefficients in CLASSICAL_TRIPLES.items():

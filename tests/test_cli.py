@@ -366,12 +366,30 @@ def test_a_cache_line_is_the_index_and_what_bernoulli_prints(tmp_path, capsys, m
     assert _load_cache(str(older)) == _load_cache(str(cache)) == len(lines)
 
 
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "env.cache"
-    monkeypatch.setenv("PLOUFFE_CACHE", str(cache))
-    code, _, _ = run_cli(capsys, "bernoulli", "10")
-    assert code == 0
-    assert cache.exists()
+SIX_COMMANDS = [("coeffs", "pi", "3"), ("eval", "pi", "3", "--digits", "20"),
+                ("verify", "--max-m", "1", "--digits", "10"), ("discover", "pi", "1", "--digits", "30"),
+                ("table", "--max-m", "1"), ("bernoulli", "12")]
+
+
+@pytest.mark.parametrize("argv", SIX_COMMANDS, ids=lambda argv: argv[0])
+def test_the_plouffe_cache_variable_is_neither_read_nor_written(tmp_path, capsys, monkeypatch, argv):
+    # a command acts on its arguments alone: the variable changes no output,
+    # and no file it names is created, read or rewritten
+    monkeypatch.delenv("PLOUFFE_CACHE", raising=False)
+    unset = run_cli(capsys, *argv)
+    paths = []
+    for name in ("_load_cache", "_save_cache"):
+        monkeypatch.setattr(cli, name, lambda path, *rest, call=getattr(cli, name):
+                            paths.append(path) or call(path, *rest))
+    missing, preset = tmp_path / "missing.cache", tmp_path / "preset.cache"
+    preset.write_text("0 1\n1 -1/2\n2 1/6\n")
+    stamp = preset.stat().st_mtime_ns
+    for path in (missing, preset):
+        monkeypatch.setenv("PLOUFFE_CACHE", str(path))
+        assert run_cli(capsys, *argv) == unset
+    assert paths == [None] * 4
+    assert [p.name for p in tmp_path.iterdir()] == ["preset.cache"]
+    assert (preset.read_text(), preset.stat().st_mtime_ns) == ("0 1\n1 -1/2\n2 1/6\n", stamp)
 
 
 def test_corrupt_cache_is_ignored(tmp_path, capsys):
@@ -531,30 +549,12 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_timing_flag_keeps_stdout_clean(capsys):
-    code, out, err = run_cli(capsys, "coeffs", "zeta", "3", "--timing")
-    assert code == 0
-    assert out == "28 -37 7\n"
-    assert "wall_time_ms=" in err
-    code, out, _ = run_cli(capsys, "coeffs", "zeta", "3", "--format", "json", "--timing")
-    payload = json.loads(out)
-    validate(payload)
-    assert "wall_time_ms" in payload
-
-
-def test_eval_json_with_timing_keeps_the_record_key_order(capsys):
-    code, out, err = run_cli(capsys, "eval", "pi", "3", "--digits", "50", "--format", "json", "--timing")
-    assert (code, err) == (0, "")
-    payload = json.loads(out)
-    validate(payload)
-    assert list(payload) == ["command", "inputs", "result", "digits", "wall_time_ms"]
-
-
-def test_verify_timing_goes_to_stderr(capsys):
-    code, out, err = run_cli(capsys, "verify", "--max-m", "1", "--digits", "10", "--timing")
-    assert code == 0
-    validate(json.loads(out))
-    assert re.fullmatch(r"wall_time_ms=\d+\n", err)
+@pytest.mark.parametrize("argv", SIX_COMMANDS, ids=lambda argv: argv[0])
+def test_timing_is_no_option(capsys, argv):
+    # stdout reads no clock; `time plouffe ...` gives the wall time
+    code, out, err = run_cli(capsys, *argv, "--timing")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --timing" in err
 
 
 def test_byte_identical_stdout_across_runs():

@@ -2,8 +2,10 @@
 invariance, verified residuals, no-relation exclusion, and triple
 rediscovery against the exact closed forms."""
 
+import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -174,12 +176,13 @@ def canonical(vector):
     return tuple(sign * v // g for v in vector)
 
 
-def planted_values(planted, digits, seed):
+def planted_values(planted, digits, seed, bound):
     """Random reals x_0..x_{n-2} and the x_{n-1} that makes sum v_i x_i = 0,
-    40 places past `digits`; the planted vector spans their relations."""
+    20 places past the digits + max(GUARD, floor(log10 bound)) that `pslq`
+    rounds them to; the planted vector spans their relations."""
     rng = random.Random(seed)
     bits = 4 * digits + 100
-    with mp.workdps(digits + 40):
+    with mp.workdps(digits + max(GUARD, len(str(bound)) - 1) + 20):
         xs = [mp.mpf(rng.getrandbits(bits)) / 2 ** bits for _ in planted[:-1]]
         xs.append(-mp.fsum(v * x for v, x in zip(planted, xs)) / planted[-1])
     return xs
@@ -206,7 +209,7 @@ def test_pslq_recovers_planted_relations(data):
                         label="planted")
     digits = (min_digits_for(n, max(map(abs, planted)))
               + data.draw(st.integers(5, 30), label="extra digits"))
-    xs = planted_values(planted, digits, data.draw(st.integers(0, 2 ** 64), label="seed"))
+    xs = planted_values(planted, digits, data.draw(st.integers(0, 2 ** 64), label="seed"), bound)
     relation = canonical(planted)
     result = pslq(xs, digits, max_coeff_bound=bound)
     if result.found:
@@ -235,8 +238,7 @@ def test_pslq_bound_above_a_planted_relation_never_stops_on_the_norm_bound(data)
     bound = max(map(abs, planted)) * data.draw(st.integers(1, 1000), label="bound factor")
     digits = (min_digits_for(n, max(map(abs, planted)))
               + data.draw(st.integers(5, 30), label="extra digits"))
-    # exact values: pslq rounds them at digits + log10(bound) places, past
-    # the digits + 40 that `planted_values` holds
+    # exact values, so the relation holds at any precision pslq reads
     bits = 4 * digits + 100
     xs = [Fraction(rng.getrandbits(bits), 1 << bits) for _ in planted[:-1]]
     xs.append(-sum(v * x for v, x in zip(planted, xs)) / planted[-1])
@@ -255,7 +257,7 @@ def test_pslq_agrees_with_mpmath_pslq(data):
     # mpmath's pslq refuses a zero value, which the vector (0, ..., 0, c) plants
     planted = data.draw(planted_vectors(n, bound).filter(lambda v: any(v[:-1])), label="planted")
     digits = min_digits_for(n, bound) + data.draw(st.integers(5, 30), label="extra digits")
-    xs = planted_values(planted, digits, data.draw(st.integers(0, 2 ** 64), label="seed"))
+    xs = planted_values(planted, digits, data.draw(st.integers(0, 2 ** 64), label="seed"), bound)
     with mp.workdps(digits):
         theirs = mp.pslq(xs, maxcoeff=bound, maxsteps=10 ** 4)
     if theirs is not None:
@@ -309,6 +311,35 @@ def test_pslq_input_validation():
 def test_min_digits_rule_of_thumb():
     assert min_digits_for(4, 10 ** 9) == 4 * 9 + 15
     assert min_digits_for(4, 10 ** 400) == 4 * 400 + 15  # an int past the float range
+    # log10 in floats rounded 15 + 4.3e-16 down to 15, one digit short
+    assert (min_digits_for(1, 10 ** 15 + 1), min_digits_for(4, 10 ** 15 + 1)) == (31, 76)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_min_digits_is_exact_next_to_every_power_of_ten(n):
+    # ceil(n log10 bound) is the least t with 10^t >= bound^n
+    for k in range(40):
+        for bound in {max(1, 10 ** k - 1), 10 ** k, 10 ** k + 1}:
+            t = next(t for t in itertools.count() if 10 ** t >= bound ** n)
+            assert min_digits_for(n, bound) == t + 15, (n, bound)
+
+
+@pytest.mark.parametrize("log10_size", [30, 80, 150])
+def test_planted_values_hold_a_relation_past_a_bound_of_10_to_the_20(log10_size):
+    # pslq rounds at digits + floor(log10 bound) places, so a relation planted
+    # at the bound is found only if the helper holds its inputs past that
+    rng = random.Random(log10_size)
+    size = 10 ** log10_size
+    planted = [rng.randint(-size, size), rng.randint(size // 10, size)]
+    digits = min_digits_for(2, max(map(abs, planted))) + 20
+    result = pslq(planted_values(planted, digits, 1, size), digits, size)
+    assert (result.found, result.vector) == (True, canonical(planted))
+
+
+def test_rotate_refuses_two_zero_entries_and_leaves_h_unchanged():
+    H = [[Decimal(0), Decimal(0)], [Decimal(3), Decimal(4)]]
+    assert relations._rotate(H, 0, 1) is False
+    assert H == [[0, 0], [3, 4]]
 
 
 def test_rediscover_pi_5():
