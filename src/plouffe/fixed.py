@@ -14,8 +14,6 @@ from fractions import Fraction
 GUARD = 20  # decimal places computed beyond the requested digits
 MAX_TERMS = 10 ** 6  # the most terms one q-series may take; `truncation_index` refuses more
 
-_pi = (0, 3)  # (prec, floor(pi 2^prec)) at the highest precision computed so far
-
 
 def _chudnovsky(a, b):
     """(P, Q, T) of Chudnovsky's terms a..b-1, by binary splitting."""
@@ -28,21 +26,17 @@ def _chudnovsky(a, b):
 
 
 def pi_fixed(prec):
-    """floor(pi 2^prec) exactly, whatever was asked before: pi = 426880
-    sqrt(10005) Q / T over terms of 47 bits each gives v within 2 units of
-    pi 2^wp, whose floor at prec is certain once v is 4 units clear of a
-    multiple of 2^guard.  The highest prec is kept; a lower one shifts it.
-    The memo is read once, so a thread rebinding it cannot mix two of them."""
-    global _pi
-    memo, guard = _pi, 32
-    while prec > memo[0]:
+    """floor(pi 2^prec) exactly: pi = 426880 sqrt(10005) Q / T over terms of
+    47 bits each gives v within 2 units of pi 2^wp, whose floor at prec is
+    certain once v is 4 units clear of a multiple of 2^guard."""
+    guard = 32
+    while True:
         wp = prec + guard
         _, q, t = _chudnovsky(0, wp // 47 + 2)
         v = 426880 * math.isqrt(10005 << 2 * wp) * q // t
         if 4 <= v % (1 << guard) < (1 << guard) - 4:
-            memo = _pi = (prec, v >> guard)
+            return v >> guard
         guard *= 2
-    return memo[1] >> (memo[0] - prec)
 
 
 def exp_neg(x, prec):

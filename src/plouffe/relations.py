@@ -78,15 +78,15 @@ def _rounded(ratios, work):
         if not num:
             parts.append((0, 0))
             continue
-        k = work + 1 - abs(num).bit_length() + den.bit_length()
-        q, rest = divmod(abs(num) << max(k, 0), den << max(-k, 0))
-        cut = q.bit_length() - work  # 1 or 2: |x| 2^k lies in (2^work, 2^(work+2))
-        q, low = q >> cut, q & ((1 << cut) - 1)
-        q += 2 * low > 1 << cut or (2 * low == 1 << cut and bool(rest or q & 1))
+        k = work - abs(num).bit_length() + den.bit_length()  # |x| 2^k in (2^(work-1), 2^(work+1))
+        x = Fraction(abs(num), den) * Fraction(2) ** k
+        if x >= 1 << work:
+            x, k = x / 2, k - 1
+        q = round(x)  # exact, half to even
         zeros = (q & -q).bit_length() - 1
-        parts.append(((q if num > 0 else -q) >> zeros, cut - k + zeros))
+        parts.append(((q if num > 0 else -q) >> zeros, zeros - k))
     e = min((exp for m, exp in parts if m), default=0)
-    return [m << (exp - e) for m, exp in parts], e
+    return [m << (exp - e) if m else 0 for m, exp in parts], e
 
 
 def _decimal(m, bits, exp):

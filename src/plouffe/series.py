@@ -35,9 +35,7 @@ class SeriesSpec(namedtuple("SeriesSpec", "n r digits")):
     __slots__ = ()
 
     def __new__(cls, n, r, digits):
-        n = _index(n, "series exponent n")
-        if n < 1:
-            raise ValueError("series exponent n must be an integer >= 1")
+        n = _index(n, "series exponent n", 1)
         if _rho_j(r)[0] <= 0:
             raise ValueError("series rate r must be positive")
         return super().__new__(cls, n, r, _index(digits, "digits", 1))

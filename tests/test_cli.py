@@ -2,6 +2,8 @@
 cache persistence, schema conformance, and byte-level determinism."""
 
 import ast
+import contextlib
+import io
 import importlib
 import json
 import os
@@ -14,6 +16,8 @@ from pathlib import Path
 import jsonschema
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mp_oracles import pi_const
 
 from plouffe import cli, oracles, relations, series
@@ -577,3 +581,53 @@ def test_closed_pipe_exits_1_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+# Every token a command reads as a number is drawn where the command answers
+# at once: exponents <= 61, Bernoulli indices <= 600, --max-m <= 2, and
+# --digits <= 60 or past what MAX_TERMS refuses before any work.  Junk
+# holds no decimal digit, so int() reads none of it, and no option prefix
+# of --cache, so no command reads or writes a file.
+OPTIONS = {"coeffs": ["--format"], "eval": ["--format", "--digits", "--check"],
+           "verify": ["--digits", "--max-m"], "discover": ["--format", "--digits"],
+           "table": ["--format", "--max-m"], "bernoulli": ["--format"]}
+JUNK = st.one_of(
+    st.sampled_from(["--bogus", "-x", "--", "-h", "--form", "--format=", "--digits=x", "--max-m=",
+                     "--check=1", "pi", "zeta", "1.5", "1e3", "0x10", " ", ""]),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=6).filter(
+        lambda text: not text.startswith("-")))
+RARELY = st.sampled_from([True] + [False] * 7)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv: mostly a command with its own arguments, its options in any
+    place, at times a foreign option, a missing argument or a junk token."""
+    command = draw(st.sampled_from(sorted(OPTIONS) + [None])) or draw(JUNK)
+    exponent = draw(st.integers(-3, 61)) if draw(RARELY) else draw(st.integers(0, 30)) * 2 + 1
+    groups = {"bernoulli": [[str(draw(st.integers(-3, 600)))]], "verify": [], "table": []}.get(
+        command, [[draw(st.sampled_from(["pi", "zeta"]))], [str(exponent)]])
+    if groups and draw(RARELY):
+        groups.pop()
+    digits = draw(st.integers(2 * 10 ** 6, 10 ** 9)) if draw(RARELY) else draw(st.integers(-1, 60))
+    values = {"--format": [draw(st.sampled_from(["json", "csv", "latex", "plain", "xml"]))],
+              "--digits": [str(digits)], "--max-m": [str(draw(st.integers(0, 2)))], "--check": []}
+    names = sorted(values) if draw(RARELY) else OPTIONS.get(command, sorted(values))
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        groups.insert(draw(st.integers(0, len(groups))), [name] + values[name])
+    if draw(RARELY):
+        groups.insert(draw(st.integers(0, len(groups))), [draw(JUNK)])
+    return [command] + [token for group in groups for token in group]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=command_lines())
+def test_every_command_line_exits_0_1_or_2_with_a_reason(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception that leaves main fails the test
+    assert code in (0, 1, 2), argv
+    if code:
+        assert err.getvalue().strip(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,23 +33,25 @@ def mpmath_floor(value, prec):
         return int(mp.floor(mp.ldexp(value(), prec)))
 
 
-@pytest.fixture
-def fresh_pi(monkeypatch):
-    """An empty pi memo, as in a new process."""
-    monkeypatch.setattr(fixed, "_pi", (0, 3))
-
-
 @settings(max_examples=25, deadline=None)
-@given(prec=PRECS, fresh=st.booleans())
-@example(prec=70000, fresh=True)
-def test_pi_fixed_is_the_floor_of_pi(prec, fresh):
-    saved = fixed._pi
-    try:
-        if fresh:
-            fixed._pi = (0, 3)
-        assert fixed.pi_fixed(prec) == mpmath_floor(lambda: +mp.pi, prec)
-    finally:
-        fixed._pi = saved
+@given(prec=PRECS)
+@example(prec=70000)
+def test_pi_fixed_is_the_floor_of_pi(prec):
+    assert fixed.pi_fixed(prec) == mpmath_floor(lambda: +mp.pi, prec)
+
+
+def test_pi_fixed_doubles_its_guard_past_an_unclear_floor(monkeypatch):
+    # pi's bits leave no precision below 10^6 within 4 units of a multiple of
+    # 2^32, so the first pass is made unclear: its sum reads Q = 0, so v = 0
+    chudnovsky, calls = fixed._chudnovsky, []
+
+    def unclear_first_pass(a, b):
+        calls.append(b)
+        return (1, 0, 1) if len(calls) == 1 else chudnovsky(a, b)
+
+    monkeypatch.setattr(fixed, "_chudnovsky", unclear_first_pass)
+    assert fixed.pi_fixed(3000) == mpmath_floor(lambda: +mp.pi, 3000)
+    assert calls[1] > calls[0]  # the second pass sums more terms, at twice the guard
 
 
 @settings(max_examples=15, deadline=None)
@@ -76,46 +77,6 @@ def test_exp_neg_is_within_one_unit_of_the_floor(prec, x):
 def test_exp_neg_of_zero_is_one():
     for prec in (0, 1, 64, 5000):
         assert fixed.exp_neg(0, prec) == 1 << prec
-
-
-def test_pi_memo_serves_shorter_pi_as_the_fresh_floor(fresh_pi):
-    precs = [1, 100, 3323, 13300, 13301]
-    fresh = []
-    for prec in precs:
-        fixed._pi = (0, 3)
-        fresh.append(fixed.pi_fixed(prec))
-    fixed.pi_fixed(20000)
-    assert [fixed.pi_fixed(prec) for prec in precs] == fresh
-
-
-def test_threads_share_the_pi_memo_safely(fresh_pi):
-    top = 4000
-    exact = mpmath_floor(lambda: +mp.pi, top)
-    wrong, errors = [], []
-
-    def worker(offset):
-        try:
-            for prec in range(offset, top, 97):  # rising, so the memo keeps being rebound
-                if fixed.pi_fixed(prec) != exact >> (top - prec):
-                    wrong.append(prec)
-                if offset == 1:
-                    fixed._pi = (0, 3)  # a lower memo, as a slower thread may store
-        except Exception as exc:  # uncaught, it would surface only as a warning
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(1, 9)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert wrong == []
 
 
 def lambert(n, rate, plus_one):
@@ -162,7 +123,7 @@ def test_shared_pass_matches_mpmath_and_each_sum_alone(n, plus_one, rate, triple
             assert gap * 10 ** (digits + 1) < 2 << (prec + alone_prec)
 
 
-def test_values_do_not_depend_on_the_call_order(fresh_pi):
+def test_values_do_not_depend_on_the_call_order():
     first = eval_pi_power(1, 300)
     eval_pi_power(1, 4000)
     assert eval_pi_power(1, 300) == first

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plouffe import oracles
 from plouffe.oracles import machin_pi, pi_power, zeta_fixed
 
 
@@ -28,6 +29,20 @@ def mpmath_floor(value, prec):
 @example(prec=70000)
 def test_machin_pi_is_the_floor_of_pi(prec):
     assert machin_pi(prec) == mpmath_floor(lambda: +mp.pi, prec)
+
+
+def test_machin_pi_doubles_its_guard_past_an_unclear_floor(monkeypatch):
+    # pi's bits leave no precision below 10^6 within 40 units of a multiple
+    # of 2^guard, so the first pass is made unclear: both arctans read 0
+    split, calls = oracles._arctan_split, []
+
+    def unclear_first_pass(x, a, b):
+        calls.append(b)
+        return (1, 1, 0) if len(calls) <= 2 else split(x, a, b)
+
+    monkeypatch.setattr(oracles, "_arctan_split", unclear_first_pass)
+    assert machin_pi(3000) == mpmath_floor(lambda: +mp.pi, 3000)
+    assert calls[2] > calls[0]  # the second pass sums more terms, at twice the guard
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 13, 41])

@@ -5,6 +5,7 @@ rediscovery against the exact closed forms."""
 import itertools
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -299,6 +300,9 @@ def test_pslq_zero_entry_gives_unit_relation():
     result = pslq([mp.mpf(0), mp.mpf(1)], 50)
     assert result.found and result.vector == (1, 0)
     assert result.residual.mpf == 0
+    # beside values whose common power of two is above 1, as 2 and 4 are
+    assert pslq([0, 2], 50).vector == (1, 0)
+    assert pslq([2, 0, 4], 50).vector == (0, 1, 0)
 
 
 def test_pslq_input_validation():
@@ -340,6 +344,43 @@ def test_rotate_refuses_two_zero_entries_and_leaves_h_unchanged():
     H = [[Decimal(0), Decimal(0)], [Decimal(3), Decimal(4)]]
     assert relations._rotate(H, 0, 1) is False
     assert H == [[0, 0], [3, 4]]
+
+
+def test_pslq_stops_when_the_main_loop_cannot_rotate(monkeypatch):
+    # a rotation of the main loop refused, as on two zero entries, while
+    # rebuild's own rotations still run: the search ends at once
+    rotate, refused = relations._rotate, []
+
+    def refuse_in_the_main_loop(H, r, c):
+        if sys._getframe(1).f_code.co_name == "pslq":
+            refused.append((r, c))
+            return False
+        return rotate(H, r, c)
+
+    monkeypatch.setattr(relations, "_rotate", refuse_in_the_main_loop)
+    rng = random.Random(3)
+    values = [Fraction(rng.randrange(10 ** 60), 10 ** 60) for _ in range(4)]
+    result = pslq(values, 60)
+    assert (result.found, result.stop, len(refused)) == (False, "insufficient precision", 1)
+
+
+def test_pslq_skips_a_zero_on_hs_diagonal(monkeypatch):
+    # a diagonal entry of H that rounding left 0 is not divided by: the
+    # reduction skips it, and the next rebuild restores H from the exact state
+    rotate, zeroed = relations._rotate, []
+
+    def zero_the_next_diagonal_entry_once(H, r, c):
+        done = rotate(H, r, c)
+        if sys._getframe(1).f_code.co_name == "pslq" and not zeroed:
+            H[c][c] = Decimal(0)  # the entry reduce_row reads next, for row c + 1
+            zeroed.append(c)
+        return done
+
+    monkeypatch.setattr(relations, "_rotate", zero_the_next_diagonal_entry_once)
+    with mp.workdps(120):
+        values = [+mp.pi, +mp.e, mp.sqrt(2), mp.pi + 2 * mp.e - 3 * mp.sqrt(2)]
+    result = pslq(values, 60)
+    assert zeroed and (result.found, result.vector) == (True, (1, 2, -3, -1))
 
 
 def test_rediscover_pi_5():
