@@ -279,6 +279,7 @@ def triple_for(target, exponent):
 def _triples(max_m):
     """The triple of pi^e for each odd e <= 4 max_m + 1, each followed by that
     of zeta(e) from e = 3: the triples `table` prints and `verify` checks."""
+    max_m = _index(max_m, "max_m", 1)
     return [triple_for(target, e) for e in range(1, 4 * max_m + 2, 2) for target in Target
             if target is Target.PI_POWER or e >= 3]
 

@@ -4,7 +4,8 @@ numbers, with machine-readable output.
 
 Exit codes: 0 success, 1 verification/discovery failure (including an
 eval --check agreement below --digits), 2 usage error.  `_run` alone maps a
-refused computation to its code: a ValueError 2, an ArithmeticError (such
+refused computation to its code: a ValueError 2 (a --digits or --max-m
+below 1 among them, which the library refuses), an ArithmeticError (such
 as `RelationNotFoundError`) 1, its reason printed.  eval, verify and
 discover print what the API's `eval_pi_power` or `eval_zeta_odd`,
 `verify_all` and `rediscover_triple` return.
@@ -32,13 +33,6 @@ from .bernoulli import (Target, _triples, bernoulli, format_rational, memo_prelo
                         triple_for)
 
 DEFAULT_DIGITS = 100  # the customary working precision for these searches
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def _target_head(target, exponent, latex=False):
@@ -260,10 +254,10 @@ def build_parser():
         if formats:
             p.add_argument("--format", choices=formats, default="plain")
         if digits:
-            p.add_argument("--digits", type=_positive_int, default=DEFAULT_DIGITS,
+            p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                            help=f"requested decimal precision (default {DEFAULT_DIGITS})")
         if max_m:
-            p.add_argument("--max-m", dest="max_m", type=_positive_int, default=1)
+            p.add_argument("--max-m", dest="max_m", type=int, default=1)
         if check:
             p.add_argument("--check", action="store_true",
                            help="cross-check the value against an independent oracle")

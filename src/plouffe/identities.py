@@ -45,9 +45,10 @@ class ResidualReport(namedtuple("ResidualReport", "identity parameters residual 
         }
 
 
-def _run(checks, digits):
-    """Reports for (identity, parameters, form) checks, residuals exact
-    PrecisionReals of `digits`.
+def _run(build, digits):
+    """Reports for the (identity, parameters, form) checks that `build()`
+    returns, residuals exact PrecisionReals of `digits`; digits is read first,
+    so that a bad one is refused before the Bernoulli layer works.
 
     A form of N pairs with coefficients up to C (bounded with 3 < pi < 4)
     needs its S and zeta terms to places(digits + GUARD, N C), and each
@@ -61,6 +62,7 @@ def _run(checks, digits):
     10**-digits; it holds |residual| cut to 2**-(P + 64).
     """
     digits = _index(digits, "digits", 1)
+    checks = build()
     forms = [[(*_rho_j(c), term) for c, term in form] for _, _, form in checks]
     accuracy = max(places(digits + GUARD, len(form) * max(
         abs(rho) * Fraction(4 if j > 0 else 3) ** j for rho, j, _ in form)) for form in forms)
@@ -116,7 +118,7 @@ def ramanujan_residual(alpha, n, digits):
     Holds for every alpha > 0 and n >= 1; checked numerically at the given
     precision, at alpha taken exactly, with zeta from the independent oracle.
     """
-    return _run([_ramanujan(alpha, n)], digits)[0]
+    return _run(lambda: [_ramanujan(alpha, n)], digits)[0]
 
 
 def _zeta_form(e):
@@ -140,7 +142,7 @@ def symmetric_point_residual(n, digits):
     Even n is rejected: F_n = 0 makes both sides vanish identically, so a
     residual check there would pass vacuously.
     """
-    return _run([_symmetric_point(n)], digits)[0]
+    return _run(lambda: [_symmetric_point(n)], digits)[0]
 
 
 def _zeta_4m1(m):
@@ -155,7 +157,7 @@ def zeta_4m1_residual(m, digits):
 
     with S = S_(4m+1).  m = 0 is rejected (the denominator vanishes).
     """
-    return _run([_zeta_4m1(m)], digits)[0]
+    return _run(lambda: [_zeta_4m1(m)], digits)[0]
 
 
 def _vepstas(m):
@@ -176,7 +178,7 @@ def vepstas_residual(m, digits):
 
     with S, T at exponent 4m+1 and T from the companion-series evaluator.
     """
-    return _run([_vepstas(m)], digits)[0]
+    return _run(lambda: [_vepstas(m)], digits)[0]
 
 
 def _ts_identity(n, rate):
@@ -190,7 +192,7 @@ def _ts_identity(n, rate):
 
 def ts_identity_residual(n, rate, digits):
     """Residual of T_n(x) = S_n(x) - 2 S_n(2x) at rate x."""
-    return _run([_ts_identity(n, rate)], digits)[0]
+    return _run(lambda: [_ts_identity(n, rate)], digits)[0]
 
 
 def _triple(triple):
@@ -202,7 +204,7 @@ def _triple(triple):
 def triple_residual(target, exponent, digits):
     """Residual of a*S(1) + b*S(2) + c*S(4) against an independent oracle
     (pi**exponent, or the alternating-eta zeta value)."""
-    return _run([_triple(triple_for(target, exponent))], digits)[0]
+    return _run(lambda: [_triple(triple_for(target, exponent))], digits)[0]
 
 
 def _verify_checks(max_m):
@@ -230,4 +232,4 @@ def verify_all(max_m, digits):
       - ts_identity: odd exponents <= 4*max_m+1, rates {1, 2}
       - triple: pi for every odd exponent <= 4*max_m+1, zeta for those >= 3
     """
-    return _run(_verify_checks(max_m), digits)
+    return _run(lambda: _verify_checks(max_m), digits)

@@ -119,12 +119,14 @@ def s_series(spec):
 
 def eval_pi_power(exponent, digits):
     """pi**exponent assembled from its three-series representation."""
+    digits = _index(digits, "digits", 1)  # before the Bernoulli layer works
     triple = triple_for(Target.PI_POWER, exponent)
     return _value(series_term(exponent, 1, weights=triple.weights()), digits)
 
 
 def eval_zeta_odd(exponent, digits):
     """zeta(exponent) for odd exponent >= 3, assembled from its triple."""
+    digits = _index(digits, "digits", 1)  # before the Bernoulli layer works
     triple = triple_for(Target.ZETA_VALUE, exponent)
     return _value(series_term(exponent, 1, weights=triple.weights()), digits)
 

@@ -20,7 +20,6 @@ Tolerances are pinned here, not calibrated elsewhere:
 import ast
 import inspect
 import math
-import os
 import subprocess
 import sys
 import time
@@ -222,8 +221,7 @@ def test_criterion_8_oracle_independence_is_structural(monkeypatch):
 
 def test_criterion_9_cli_determinism():
     command = [sys.executable, "-m", "plouffe", "eval", "pi", "3", "--digits", "300"]
-    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
-    runs = [subprocess.run(command, capture_output=True, env=env) for _ in range(2)]
+    runs = [subprocess.run(command, capture_output=True) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     announce(9, "byte-identical output for repeated `eval pi 3 --digits 300`")

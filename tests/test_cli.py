@@ -3,6 +3,7 @@ cache persistence, schema conformance, and byte-level determinism."""
 
 import ast
 import contextlib
+import hashlib
 import io
 import importlib
 import json
@@ -236,11 +237,6 @@ def test_cli_imports_no_private_name_of_identities_or_relations():
     assert not private
 
 
-def test_verify_empty_range_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--max-m", "0")
-    assert code == 2
-
-
 def test_discover_pi(capsys):
     code, out, _ = run_cli(capsys, "discover", "pi", "1", "--digits", "100")
     assert code == 0
@@ -318,6 +314,23 @@ def test_table_csv_row_count_and_zeta5_row(capsys):
     assert len(rows) == 5
     assert rows[0] == "pi,1,72,-96,24"
     assert "zeta,5,24,-259/10,-1/10" in rows
+
+
+# SHA-256 of `table --max-m 60`'s stdout, pinned from before the pair
+# products became one table
+TABLE_60_SHA256 = {
+    "plain": "dc8161e7085c64c95884b805f02562cb48cf22eacb910f222cad558d88643dd3",
+    "json": "140f980482d8a1b03799c119455b613af8d3dc040f879ec6838289be83663694",
+    "csv": "624ffd9ae2443c5231361d13274bc475d5ff17a5e58c1779ad2b488f035a7d9b",
+    "latex": "0c5a173663408e72d12f264f70db57357c00f998aa3cec3edcc1ebaa54d47285",
+}
+
+
+@pytest.mark.parametrize("fmt", TABLE_60_SHA256)
+def test_table_to_max_m_60_hashes_as_pinned(capsys, fmt):
+    code, out, _ = run_cli(capsys, "table", "--max-m", "60", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == TABLE_60_SHA256[fmt]
 
 
 def test_table_json_validates_against_schema(capsys):
@@ -563,9 +576,8 @@ def test_timing_is_no_option(capsys, argv):
 
 def test_byte_identical_stdout_across_runs():
     command = [sys.executable, "-m", "plouffe", "eval", "pi", "3", "--digits", "300"]
-    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
-    first = subprocess.run(command, capture_output=True, env=env)
-    second = subprocess.run(command, capture_output=True, env=env)
+    first = subprocess.run(command, capture_output=True)
+    second = subprocess.run(command, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout.strip()) == 301  # 300 significant digits plus the point
@@ -574,8 +586,7 @@ def test_byte_identical_stdout_across_runs():
 def test_closed_pipe_exits_1_without_a_traceback():
     # the reader is gone before the command prints anything, as with `| head -c 10`
     command = [sys.executable, "-m", "plouffe", "verify", "--max-m", "1", "--digits", "1"]
-    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
-    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -1,10 +1,11 @@
 """Golden CLI outputs: exit code and standard output, byte for byte.
 
-Each command runs in-process at no more than 300 digits; `cli_golden.json`
-holds what it printed when the file was written.  The one field allowed to
-move is JSON `residual`, a noise-level number whose digits depend on the
-working precision; it is masked, and the `pass` flags next to it are
-asserted instead.  Regenerate the file (only for a deliberate output change)
+Each command runs in-process at no more than 300 digits, with `import
+mpmath` blocked, as no command needs it; `cli_golden.json` holds what it
+printed when the file was written, and a command that exits 0 prints
+nothing on stderr.  The one field allowed to move is JSON `residual`, a
+noise-level number whose digits depend on the working precision; it is
+masked, and the `pass` flags next to it are asserted instead.  Regenerate the file (only for a deliberate output change)
 with `PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
@@ -13,6 +14,7 @@ import io
 import json
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -50,11 +52,11 @@ _RESIDUAL = re.compile(r'("residual": )"[^"]*"')
 
 
 def run(command):
-    """(exit code, stdout) of one in-process CLI run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(command.split())
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def masked(stdout):
@@ -63,10 +65,13 @@ def masked(stdout):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_output_is_byte_identical(monkeypatch, command):
-    monkeypatch.delenv("PLOUFFE_CACHE", raising=False)
+    # no command imports mpmath: every value and residual is exact
+    monkeypatch.setitem(sys.modules, "mpmath", None)
     expected_code, expected = json.loads(GOLDEN.read_text())[command]
-    code, stdout = run(command)
+    code, stdout, stderr = run(command)
     assert code == expected_code
+    if code == 0:
+        assert stderr == ""
     assert masked(stdout) == masked(expected)
     if command.startswith("verify"):
         assert [r["pass"] for r in json.loads(stdout)] == [r["pass"] for r in json.loads(expected)]
@@ -74,4 +79,4 @@ def test_cli_output_is_byte_identical(monkeypatch, command):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({c: run(c) for c in COMMANDS}, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps({c: run(c)[:2] for c in COMMANDS}, indent=1) + "\n")

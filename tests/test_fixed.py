@@ -5,7 +5,6 @@ reference and mpmath's, and an `eval` that runs with mpmath unavailable.
 """
 
 import math
-import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -290,14 +289,12 @@ sys.stdout.write(f"{code}\\n{out.getvalue()}")
 
 
 def without_mpmath(*argv):
-    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
     return subprocess.run([sys.executable, "-c", NO_MPMATH, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, timeout=120)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_eval_runs_without_mpmath(monkeypatch, capsys, fmt):
-    monkeypatch.delenv("PLOUFFE_CACHE", raising=False)
+def test_eval_runs_without_mpmath(capsys, fmt):
     argv = ["eval", "zeta", "5", "--digits", "60", "--format", fmt]
     proc = without_mpmath(*argv)
     assert proc.returncode == 0, proc.stderr
@@ -305,8 +302,7 @@ def test_eval_runs_without_mpmath(monkeypatch, capsys, fmt):
     assert proc.stdout == f"0\n{capsys.readouterr().out}"
 
 
-def test_eval_check_runs_without_mpmath(monkeypatch, capsys):
-    monkeypatch.delenv("PLOUFFE_CACHE", raising=False)
+def test_eval_check_runs_without_mpmath(capsys):
     argv = ["eval", "pi", "1", "--check"]
     proc = without_mpmath(*argv)
     assert proc.returncode == 0, proc.stderr

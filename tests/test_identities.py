@@ -157,10 +157,12 @@ def test_triple_residual_both_targets():
     assert triple_residual("zeta", 7, 100).passed
 
 
-def test_verify_all_composite_run():
-    reports = verify_all(2, 150)
+# (25, 30): every zeta identity triple_for shares with verify, for e <= 101
+@pytest.mark.parametrize("max_m, digits", [(2, 150), (25, 30)])
+def test_verify_all_composite_run(max_m, digits):
+    reports = verify_all(max_m, digits)
     assert all(r.passed for r in reports)
-    assert len(reports) == 17 * 2 + 3
+    assert len(reports) == 17 * max_m + 3
 
 
 def test_verify_all_report_count_formula():
@@ -241,7 +243,7 @@ def mpmath_residual(form, places, cache):
 def test_exact_residuals_agree_with_mpmath(digits):
     checks = identities._verify_checks(2) + [identities._ramanujan(1.3, 3)]
     places, cache = digits + GUARD + 40, {}
-    reports = identities._run(checks, digits)
+    reports = identities._run(lambda: checks, digits)
     assert len(reports) == len(checks) == 17 * 2 + 3 + 1
     for (identity, params, form), report in zip(checks, reports):
         reference = Fraction(*fixed.ratio(mpmath_residual(form, places, cache)))
@@ -268,8 +270,8 @@ def test_every_coefficient_of_every_identity_matters():
         "ramanujan", "symmetric_point", "zeta_4m1", "vepstas", "ts_identity", "triple"}
     variants = [(identity, params, form[:i] + [(perturbed(c), term)] + form[i + 1:])
                 for identity, params, form in checks for i, (c, term) in enumerate(form)]
-    assert all(r.passed for r in identities._run(checks, 60))
-    passed = [r.passed for r in identities._run(variants, 60)]
+    assert all(r.passed for r in identities._run(lambda: checks, 60))
+    passed = [r.passed for r in identities._run(lambda: variants, 60)]
     assert len(passed) == len(variants) and not any(passed)
 
 
@@ -279,7 +281,7 @@ def test_a_residual_above_ten_to_the_minus_digits_fails(digits):
     identity, params, form = identities._ts_identity(3, 2)
     off = form + [(Fraction(1, 10 ** (digits - 5)), ("pi", 0))]  # plus the constant 10**-(digits-5)
     true_report, off_report = identities._run(
-        [(identity, params, form), (identity, params, off)], digits)
+        lambda: [(identity, params, form), (identity, params, off)], digits)
     assert true_report.passed
     assert not off_report.passed
 

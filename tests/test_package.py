@@ -3,28 +3,31 @@
 Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
 are exact Fraction arithmetic, `eval` (with or without `--check`) and
 `verify` integer fixed point, and `discover` integers and `decimal`, so
-every command starts without mpmath, dataclasses or inspect, and prints
-its golden output with mpmath blocked; the Python API runs without mpmath
-too, which only `PrecisionReal.mpf` imports.  The package resolves the
-names of its other layers on first access, with the same objects as their
-home modules.  The record types keep the value semantics of frozen
-dataclasses, and they pickle, so a process pool can return them; a thread
-pool returns the same values as serial calls.  Public entry points reject
-a digits that is no integer, or below 1, before they compute anything, and
-no module checks digits but through `bernoulli._index`, whose test
-`decimal_string` states for its `sig_digits`.  Every function the
-benchmark's tracer wraps or reads still exists.  The kernel and the oracles
-are reached only through `series.term_values`, whose integers only
-`series._exact` reads.
+every command starts without mpmath, dataclasses or inspect; its golden
+output with mpmath blocked is `test_cli_golden.py`'s, and the Python API
+runs without mpmath too, which only `PrecisionReal.mpf` imports.  The
+package resolves the names of its other layers on first access, with the
+same objects as their home modules.  The record types keep the value
+semantics of frozen dataclasses, and they pickle, so a process pool can
+return them; a thread pool returns the same values as serial calls.
+Public entry points reject a digits that is no integer, or below 1, before
+they compute anything, the Bernoulli layer included, and the CLI leaves
+that refusal, and max_m's, to them; no module checks digits but through
+`bernoulli._index`, whose test `decimal_string` states for its
+`sig_digits`.  Every function the benchmark's tracer wraps or reads still
+exists.  The kernel and the oracles are reached only through
+`series.term_values`, whose integers only `series._exact` reads.
+
+These tests, with the rest of tier-1, hold every behaviour check; CI adds
+the installed `plouffe` command, a run under `-X dev`, pi to 20000 digits
+against mpmath, and the benchmark's selftest.
 """
 
 import ast
 import copy
 import importlib
 import importlib.util
-import json
 import multiprocessing
-import os
 import pathlib
 import pickle
 import subprocess
@@ -34,11 +37,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from test_cli_golden import masked
 
 import plouffe
 from plouffe import fixed, identities, relations, series
 from plouffe.bernoulli import CoefficientTriple, Target, _index, triple_for
+from plouffe.cli import main
 from plouffe.identities import (ResidualReport, ramanujan_residual, symmetric_point_residual,
                                 triple_residual, ts_identity_residual, vepstas_residual,
                                 verify_all, zeta_4m1_residual)
@@ -64,9 +67,8 @@ EXACT_ONLY = {"mpmath", "dataclasses", "inspect"}
 
 
 def loaded_by(*commands):
-    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
     proc = subprocess.run([sys.executable, "-c", CHILD, *commands],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
 
@@ -94,47 +96,6 @@ def test_exact_commands_import_only_what_they_use(tmp_path, command, formats):
             assert "json" not in loaded, runs
 
 
-# Runs one command in a fresh interpreter in which `import mpmath` fails.
-NO_MPMATH = """
-import sys
-sys.modules["mpmath"] = None
-from plouffe.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def without_mpmath(command):
-    """[exit code, stdout] of one command run with mpmath blocked, and the golden pair."""
-    env = {k: v for k, v in os.environ.items() if k != "PLOUFFE_CACHE"}
-    proc = subprocess.run([sys.executable, "-c", NO_MPMATH, *command.split()],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert not proc.stderr, proc.stderr
-    golden = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
-    return [proc.returncode, proc.stdout], golden[command]
-
-
-def test_plain_discover_prints_the_golden_output_without_mpmath():
-    run, golden = without_mpmath("discover pi 7 --digits 200")
-    assert run == golden
-
-
-@pytest.mark.parametrize("command", [
-    "eval zeta 9 --digits 200 --check --format json",
-    "discover zeta 5 --digits 120 --format json",
-])
-def test_checks_and_json_print_the_golden_output_without_mpmath(command):
-    run, golden = without_mpmath(command)
-    assert run == golden
-
-
-def test_verify_prints_the_golden_output_without_mpmath():
-    # the residual digits depend on the working precision; test_cli_golden masks them too
-    (code, out), (golden_code, golden_out) = without_mpmath("verify --max-m 1 --digits 60")
-    assert code == golden_code == 0
-    assert masked(out) == masked(golden_out)
-    assert all(record["pass"] for record in json.loads(out))
-
-
 def test_a_bare_import_loads_no_mpmath():
     assert "mpmath" not in loaded_by()
 
@@ -145,7 +106,9 @@ import sys
 sys.modules["mpmath"] = None
 import plouffe
 plouffe.eval_pi_power(1, 30); plouffe.eval_zeta_odd(3, 30); plouffe.zeta_reference(3, 30)
-plouffe.verify_all(1, 30); plouffe.rediscover_triple("pi", 1, 30)
+plouffe.apery_zeta3(30); plouffe.verify_all(1, 30); plouffe.rediscover_triple("pi", 1, 30)
+assert plouffe.ts_identity_residual(3, (1, 1), 40).passed
+plouffe.s_series(plouffe.SeriesSpec(3, (1, 1), 30))
 value = plouffe.eval_pi_power(1, 30)
 print(value.to_decimal_string(), repr(value), float(value), value == plouffe.eval_pi_power(1, 30))
 try:
@@ -472,7 +435,8 @@ ENTRY_POINTS = [
 
 
 def forbid_computing(monkeypatch):
-    """Make the one evaluator, the kernel and the oracles fail wherever they are bound."""
+    """Make the one evaluator, the kernel, the oracles and the Bernoulli layer
+    fail wherever they are bound."""
     def computed(*_):
         raise AssertionError("computed before rejecting digits")
 
@@ -482,6 +446,10 @@ def forbid_computing(monkeypatch):
         monkeypatch.setattr(module, "q_sums", computed)
     for name in ("pi_power", "zeta_fixed", "apery_fixed"):
         monkeypatch.setattr(series, name, computed)
+    for name in ("triple_for", "_triples", "_pairs", "_zeta_identity", "g_sum", "h_sum"):
+        monkeypatch.setattr(identities, name, computed)
+    for module in (series, relations):
+        monkeypatch.setattr(module, "triple_for", computed)
 
 
 @pytest.mark.parametrize("digits", [0, -3])
@@ -496,6 +464,22 @@ def test_entry_points_reject_digits_before_computing(monkeypatch, function, args
     forbid_computing(monkeypatch)
     with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
         function(*args, 0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[((command, *args, "--digits", digits), "digits must be >= 1")
+      for command, args in (("eval", ("pi", "3")), ("verify", ()), ("discover", ("pi", "3")))
+      for digits in ("0", "-3")],
+    (("verify", "--max-m", "150", "--digits", "0"), "digits must be >= 1"),
+    (("verify", "--max-m", "0"), "max_m must be >= 1"),
+    (("table", "--max-m", "0"), "max_m must be >= 1"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_the_cli_leaves_refusing_digits_and_max_m_to_the_library(monkeypatch, capsys, argv,
+                                                                 message):
+    # exit 2 with the library's own message, nothing printed, nothing computed
+    forbid_computing(monkeypatch)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("digits", [10.5, 10.0, Fraction(10), True, "10"])
@@ -561,8 +545,8 @@ def test_a_bad_number_is_named_before_computing(monkeypatch, function, args, mes
 
 @pytest.mark.parametrize("function, args", [
     (ramanujan_residual, ((1, 1.5), 1, 10)),
-    (identities._run, ([("c", {}, [((1, 0.5), ("zeta", 3))])], 10)),
-    (identities._run, ([("r", {}, [(1, series.series_term(3, (1, 1.5)))])], 10)),
+    (identities._run, (lambda: [("c", {}, [((1, 0.5), ("zeta", 3))])], 10)),
+    (identities._run, (lambda: [("r", {}, [(1, series.series_term(3, (1, 1.5)))])], 10)),
     (series.term_values, ([series.series_term(3, (2, 1.0))], 10)),
 ])
 def test_a_non_integer_power_of_pi_is_refused_before_computing(monkeypatch, function, args):
