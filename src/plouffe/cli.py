@@ -8,7 +8,8 @@ refused computation to its code: a ValueError 2 (a --digits or --max-m
 below 1 among them, which the library refuses), an ArithmeticError (such
 as `RelationNotFoundError`) 1, its reason printed.  eval, verify and
 discover print what the API's `eval_pi_power` or `eval_zeta_odd`,
-`verify_all` and `rediscover_triple` return.
+`verify_all` and `rediscover_triple` return.  `main` reads a plain command
+line itself and leaves any other, --help among them, to argparse.
 A command's output and side effects depend on its arguments alone: it
 reads no clock and no environment variable of its own, so identical
 invocations produce byte-identical standard output.
@@ -19,11 +20,12 @@ one record per line, the index and what `plouffe bernoulli <index>` prints
 unreadable cache is never an error; the numbers are recomputed.
 """
 
-import argparse
 import contextlib
 import os
 import re
 import sys
+import types
+from decimal import Decimal
 from fractions import Fraction
 
 # The other layers, json and tempfile are imported where they are used, so
@@ -179,17 +181,6 @@ def _cmd_bernoulli(args):
     return 0
 
 
-def _parse_int(text):
-    """int(text) for decimal digits with an optional "-", parsed by halves
-    of at most 600 digits, so that Python's int/str digit limit never applies."""
-    if text.startswith("-"):
-        return -_parse_int(text[1:])
-    if len(text) <= 600:
-        return int(text)
-    half = len(text) // 2
-    return _parse_int(text[:-half]) * 10 ** half + _parse_int(text[-half:])
-
-
 def _load_cache(path):
     """Seed the Bernoulli memo from a cache file; returns the entry count
     the file contributed (0 for a missing, unreadable, or rejected file)."""
@@ -205,7 +196,7 @@ def _load_cache(path):
                     parts = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", value_text)
                     if parts is None:
                         raise ValueError(f"not an exact rational: {value_text!r}")
-                    numerator, denominator = (_parse_int(part) for part in parts.groups("1"))
+                    numerator, denominator = (int(Decimal(part)) for part in parts.groups("1"))
                     entries[int(index_text)] = Fraction(numerator, denominator)
             if entries and sorted(entries) == list(range(len(entries))):
                 if memo_preload([entries[i] for i in range(len(entries))]):
@@ -240,68 +231,102 @@ def _save_cache(path, entries_in_file):
                 os.unlink(temp_path)
 
 
+# The CLI grammar, which build_parser and _read_argv both read: each command's
+# help, positionals, and options past --cache, which every command takes,
+# each with the argparse keywords of its type or its choices.  The handler of
+# a command is _cmd_<command>, looked up when the command line is read.
+_INT, _FLAG = {"type": int}, {"action": "store_true"}
+_TARGET = (("target", {"choices": ("pi", "zeta")}), ("exponent", _INT))
+_COMMANDS = {
+    "coeffs": ("exact coefficient triple for one target", _TARGET,
+               {"--format": {"choices": ("json", "csv", "latex", "plain")}}),
+    "eval": ("evaluate pi**n or zeta(n) to a digit count", _TARGET,
+             {"--format": {"choices": ("json", "csv", "plain")}, "--digits": _INT, "--check": _FLAG}),
+    "verify": ("run all identity residual checks (JSON report)", (),
+               {"--digits": _INT, "--max-m": _INT}),
+    "discover": ("rediscover a coefficient triple with PSLQ", _TARGET,
+                 {"--format": {"choices": ("json", "plain")}, "--digits": _INT}),
+    "table": ("all triples for exponents up to 4*max_m + 1", (),
+              {"--format": {"choices": ("json", "csv", "latex", "plain")}, "--max-m": _INT}),
+    "bernoulli": ("print the k-th Bernoulli number as p/q", (("index", _INT),),
+                  {"--format": {"choices": ("json", "plain")}}),
+}
+# Each option's dest, default and other argparse keywords, in --help order.
+_OPTIONS = {
+    "--cache": ("cache", None, {"metavar": "PATH", "help": "Bernoulli cache file (default: none)"}),
+    "--format": ("format", "plain", {}),
+    "--digits": ("digits", DEFAULT_DIGITS,
+                 {"help": f"requested decimal precision (default {DEFAULT_DIGITS})"}),
+    "--max-m": ("max_m", 1, {}),
+    "--check": ("check", False, {"help": "cross-check the value against an independent oracle"}),
+}
+
+
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="plouffe",
         description="Exact coefficients, arbitrary-precision evaluation, identity "
                     "verification, and PSLQ rediscovery of the three-series formulas "
                     "for odd powers of pi and odd zeta values.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, formats=None, digits=False, max_m=False, check=False):
-        p.add_argument("--cache", default=None, metavar="PATH",
-                       help="Bernoulli cache file (default: none)")
-        if formats:
-            p.add_argument("--format", choices=formats, default="plain")
-        if digits:
-            p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                           help=f"requested decimal precision (default {DEFAULT_DIGITS})")
-        if max_m:
-            p.add_argument("--max-m", dest="max_m", type=int, default=1)
-        if check:
-            p.add_argument("--check", action="store_true",
-                           help="cross-check the value against an independent oracle")
-
-    p = sub.add_parser("coeffs", help="exact coefficient triple for one target")
-    p.add_argument("target", choices=["pi", "zeta"])
-    p.add_argument("exponent", type=int)
-    add_common(p, formats=("json", "csv", "latex", "plain"))
-    p.set_defaults(handler=_cmd_coeffs)
-
-    p = sub.add_parser("eval", help="evaluate pi**n or zeta(n) to a digit count")
-    p.add_argument("target", choices=["pi", "zeta"])
-    p.add_argument("exponent", type=int)
-    add_common(p, formats=("json", "csv", "plain"), digits=True, check=True)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("verify", help="run all identity residual checks (JSON report)")
-    add_common(p, digits=True, max_m=True)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("discover", help="rediscover a coefficient triple with PSLQ")
-    p.add_argument("target", choices=["pi", "zeta"])
-    p.add_argument("exponent", type=int)
-    add_common(p, formats=("json", "plain"), digits=True)
-    p.set_defaults(handler=_cmd_discover)
-
-    p = sub.add_parser("table", help="all triples for exponents up to 4*max_m + 1")
-    add_common(p, formats=("json", "csv", "latex", "plain"), max_m=True)
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("bernoulli", help="print the k-th Bernoulli number as p/q")
-    p.add_argument("index", type=int)
-    add_common(p, formats=("json", "plain"))
-    p.set_defaults(handler=_cmd_bernoulli)
-
+    for command, (text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, kind in positionals:
+            p.add_argument(name, **kind)
+        options = {"--cache": {}, **options}
+        for name, (dest, default, keywords) in _OPTIONS.items():
+            if name in options:
+                p.add_argument(name, dest=dest, default=default, **options[name], **keywords)
+        p.set_defaults(handler=globals()[f"_cmd_{command}"])
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
+def _read_argv(argv):
+    """What build_parser().parse_args(argv) returns, for a plain argv: a
+    command, then its positionals and options in any order, each option by
+    its full name and at most once, each value a token that does not start
+    with "-".  None for any other argv, which argparse reads instead."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, options = _COMMANDS[argv[0]]
+    options = {"--cache": {}, **options}
+    values = {_OPTIONS[name][0]: _OPTIONS[name][1] for name in options}
+    tokens, free = iter(argv[1:]), []
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        for token in tokens:
+            if not token.startswith("-"):
+                free.append(token)
+            elif token in options:  # popped, so that a second one is refused
+                kind = options.pop(token)
+                values[_OPTIONS[token][0]] = kind is _FLAG or _value(kind, next(tokens, "-"))
+            else:
+                return None
+        if len(free) != len(positionals):
+            return None
+        values.update((name, _value(kind, text)) for (name, kind), text in zip(positionals, free))
+    except ValueError:
+        return None
+    return types.SimpleNamespace(command=argv[0], handler=globals()[f"_cmd_{argv[0]}"], **values)
+
+
+def _value(kind, text):
+    """text read as argparse reads a value of this kind, or ValueError."""
+    value = kind.get("type", str)(text)
+    if text.startswith("-") or value not in kind.get("choices", [value]):
+        raise ValueError(text)
+    return value
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
 
     try:
         code = _run(args)

@@ -312,6 +312,12 @@ def test_e_coeff_values():
         assert e_coeff(m) != 0
 
 
+def test_d_coeff_is_positive_and_e_coeff_negative_to_m_100():
+    # exact signs, so neither denominator vanishes there; no proof for every m yet
+    for m in range(1, 101):
+        assert d_coeff(m) > 0 and e_coeff(m) < 0, m
+
+
 def test_d_and_e_coeff_name_the_coefficient_that_vanishes(monkeypatch):
     for name in ("f_sum", "g_sum", "h_sum"):
         monkeypatch.setattr(bernoulli_module, name, lambda n: Fraction(0))

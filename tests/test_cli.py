@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface: formats, exit codes,
-cache persistence, schema conformance, and byte-level determinism."""
+cache persistence, schema conformance, byte-level determinism, and the
+direct argv reader's agreement with argparse."""
 
 import ast
 import contextlib
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mp_oracles import pi_const
+from test_cli_golden import COMMANDS as GOLDEN_COMMANDS
 
 from plouffe import cli, oracles, relations, series
 from plouffe.bernoulli import Target, format_rational, triple_for
@@ -642,3 +644,34 @@ def test_every_command_line_exits_0_1_or_2_with_a_reason(argv):
         assert err.getvalue().strip(), argv
     if code == 2:
         assert out.getvalue() == "", argv
+
+
+def parsed_by_argparse(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_the_direct_reader_agrees_with_argparse(argv):
+    read = cli._read_argv(argv)
+    assert read is None or vars(read) == parsed_by_argparse(argv), argv
+
+
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_the_direct_reader_takes_every_golden_command(command):
+    read = cli._read_argv(command.split())
+    assert read is not None and vars(read) == parsed_by_argparse(command.split())
+
+
+# Command lines past the plain shape: argparse reads each, or refuses it.
+@pytest.mark.parametrize("command", [
+    "eval pi 1 --dig 5", "eval pi 1 --digits=5", "eval pi 1 --digits 5 --digits 6",
+    "eval pi 1 --check --check", "eval pi 1 --digits -5", "coeffs pi -1", "bernoulli -2",
+    "coeffs pi 1 --cache", "coeffs pi 1 --cache -", "coeffs pi 1 --", "-h", "coeffs -h", ""])
+def test_argparse_reads_what_the_direct_reader_leaves(command):
+    assert cli._read_argv(command.split()) is None

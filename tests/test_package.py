@@ -3,11 +3,12 @@
 Each command imports only what it uses: `coeffs`, `table` and `bernoulli`
 are exact Fraction arithmetic, `eval` (with or without `--check`) and
 `verify` integer fixed point, and `discover` integers and `decimal`, so
-every command starts without mpmath, dataclasses or inspect; its golden
-output with mpmath blocked is `test_cli_golden.py`'s, and the Python API
-runs without mpmath too, which only `PrecisionReal.mpf` imports.  The
-package resolves the names of its other layers on first access, with the
-same objects as their home modules.  The record types keep the value
+every command starts without mpmath, dataclasses or inspect, and a plain
+command line without argparse, which only --help and usage errors load;
+its golden output with mpmath blocked is `test_cli_golden.py`'s, and the
+Python API runs without mpmath too, which only `PrecisionReal.mpf`
+imports.  The package resolves the names of its other layers on first
+access, with the same objects as their home modules.  The record types keep the value
 semantics of frozen dataclasses, and they pickle, so a process pool can
 return them; a thread pool returns the same values as serial calls.
 Public entry points reject a digits that is no integer, or below 1, before
@@ -64,6 +65,7 @@ if sys.argv[1:]:
 print(*sorted(set(sys.modules) - before), file=sys.stderr)
 """
 EXACT_ONLY = {"mpmath", "dataclasses", "inspect"}
+ARGPARSE = {"argparse", "gettext", "locale"}  # --help and usage errors alone load these
 
 
 def loaded_by(*commands):
@@ -91,13 +93,18 @@ def test_exact_commands_import_only_what_they_use(tmp_path, command, formats):
         runs = [command_fmt] + [f"{command_fmt} --cache {cache}"] * 2
         loaded = loaded_by(*runs)
         assert cache.exists()
-        assert not loaded & EXACT_ONLY, (runs, loaded & EXACT_ONLY)
+        assert not loaded & (EXACT_ONLY | ARGPARSE), (runs, loaded & (EXACT_ONLY | ARGPARSE))
         if fmt not in ("json", None):
             assert "json" not in loaded, runs
 
 
 def test_a_bare_import_loads_no_mpmath():
     assert "mpmath" not in loaded_by()
+
+
+def test_a_usage_error_loads_argparse():
+    # so that the plain command lines above are shown to start without it
+    assert ARGPARSE <= loaded_by("eval pi x")
 
 
 # The Python API with mpmath blocked: every value is exact without it.
